@@ -38,8 +38,8 @@ struct ClusterHealth {
 // Renders GroupStats (+ cluster health) in the Prometheus text exposition
 // format (version 0.0.4): `# HELP` / `# TYPE` preambles, counters suffixed
 // _total, histograms as cumulative `le` buckets with +Inf, per-shard
-// breakdowns as `shard="<id>"` labels. This is what the router serves on
-// GET /metrics; tests/metrics_text_test.cc pins the format.
+// breakdowns as `shard="<id>"` labels. This is what the router and every
+// shard serve on GET /metrics; tests/metrics_text_test.cc pins the format.
 std::string PrometheusText(const engine::GroupStats& stats,
                            const ClusterHealth& health);
 

@@ -565,15 +565,24 @@ bool DecodeName(const std::string& payload, std::string* name) {
   return r.Str(name) && !name->empty() && r.AtEnd();
 }
 
+net::Frame Reply(uint64_t request_id, net::FrameType type,
+                 std::string payload) {
+  net::Frame f;
+  f.type = type;
+  f.request_id = request_id;
+  f.payload = std::move(payload);
+  return f;
+}
+
+net::Frame OkFrame(uint64_t request_id) {
+  return Reply(request_id, net::FrameType::kOk, {});
+}
+
 net::Frame MakeErrorFrame(uint64_t request_id, const common::Status& status) {
-  net::Frame frame;
-  frame.type = net::FrameType::kError;
-  frame.request_id = request_id;
   net::WireWriter w;
   w.U8(static_cast<uint8_t>(status.code()));
   w.Str(status.message());
-  frame.payload = w.Take();
-  return frame;
+  return Reply(request_id, net::FrameType::kError, w.Take());
 }
 
 common::Status DecodeErrorFrame(const net::Frame& frame) {
@@ -585,6 +594,14 @@ common::Status DecodeErrorFrame(const net::Frame& frame) {
   }
   return common::Status(static_cast<common::StatusCode>(code),
                         std::move(message));
+}
+
+net::Frame BadPayload(const net::Frame& req) {
+  return MakeErrorFrame(
+      req.request_id,
+      common::Status::InvalidArgument(
+          std::string("malformed ") + net::FrameTypeName(req.type) +
+          " payload"));
 }
 
 }  // namespace zeus::cluster

@@ -249,12 +249,22 @@ bool DecodeRegisterReply(const std::string& payload, uint64_t* plans_warmed);
 std::string EncodeName(const std::string& name);
 bool DecodeName(const std::string& payload, std::string* name);
 
+// ---- Replies ---------------------------------------------------------------
+
+// A reply frame of `type` answering request `request_id`.
+net::Frame Reply(uint64_t request_id, net::FrameType type,
+                 std::string payload);
+// The empty kOk reply.
+net::Frame OkFrame(uint64_t request_id);
+
 // ---- Errors ----------------------------------------------------------------
 
 // kError frames carry (StatusCode, message) so a server-side failure
 // arrives as the same Status the in-process call would have returned.
 net::Frame MakeErrorFrame(uint64_t request_id, const common::Status& status);
 common::Status DecodeErrorFrame(const net::Frame& frame);
+// kError(kInvalidArgument) for a request whose payload failed to decode.
+net::Frame BadPayload(const net::Frame& req);
 
 }  // namespace zeus::cluster
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 
 #include "common/logging.h"
 #include "common/stringutil.h"
@@ -10,23 +9,6 @@
 namespace zeus::cluster {
 
 namespace {
-
-net::Frame Reply(uint64_t request_id, net::FrameType type,
-                 std::string payload) {
-  net::Frame f;
-  f.type = type;
-  f.request_id = request_id;
-  f.payload = std::move(payload);
-  return f;
-}
-
-net::Frame BadPayload(const net::Frame& req) {
-  return MakeErrorFrame(
-      req.request_id,
-      common::Status::InvalidArgument(
-          std::string("malformed ") + net::FrameTypeName(req.type) +
-          " payload"));
-}
 
 // Merge per-dataset rows from many shard snapshots by name (counters add,
 // histograms merge, queue depth sums — a dataset only ever lives on one
@@ -55,7 +37,11 @@ void MergeDatasetRows(std::vector<engine::DatasetStats>* into,
 
 }  // namespace
 
-Router::Router(Options options) : opts_(std::move(options)) {}
+Router::Router(Options options)
+    : opts_(std::move(options)),
+      server_(opts_.name, opts_.write_deadline_ms,
+              [this](const net::Frame& req) { return Dispatch(req); },
+              [this] { return PrometheusText(GroupStatsNow(), Health()); }) {}
 
 Router::~Router() { Stop(); }
 
@@ -94,36 +80,24 @@ common::Status Router::Start() {
       1, std::min(opts_.replication, static_cast<int>(shards_.size())));
   RebuildRingLocked();  // no threads yet; the "Locked" contract is vacuous
 
-  ZEUS_RETURN_IF_ERROR(listener_.Listen(opts_.host, opts_.port));
-  port_ = listener_.port();
-  stopping_.store(false);
+  ZEUS_RETURN_IF_ERROR(server_.Start(opts_.host, opts_.port));
   running_.store(true);
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
   if (opts_.health_interval_ms > 0) {
     health_thread_ = std::thread([this] { HealthLoop(); });
   }
   ZEUS_LOG(Info) << opts_.name << " listening on " << opts_.host << ":"
-                 << port_ << " with " << shards_.size() << " shard(s)";
+                 << port() << " with " << shards_.size() << " shard(s)";
   return common::Status::Ok();
 }
 
 void Router::Stop() {
   if (!running_.exchange(false)) return;
-  stopping_.store(true);
   {
     std::lock_guard<std::mutex> lock(health_mu_);
     health_cv_.notify_all();
   }
   if (health_thread_.joinable()) health_thread_.join();
-  listener_.Close();
-  CloseAllConns();
-  if (accept_thread_.joinable()) accept_thread_.join();
-  std::vector<std::thread> threads;
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    threads.swap(conn_threads_);
-  }
-  for (std::thread& t : threads) t.join();
+  server_.Stop();
 }
 
 // ---- Routing ---------------------------------------------------------------
@@ -1003,10 +977,10 @@ void Router::FailOverLocked(std::unique_lock<std::mutex>& lock, int id) {
 
 void Router::HealthLoop() {
   std::unique_lock<std::mutex> lk(health_mu_);
-  while (!stopping_.load()) {
+  while (running_.load()) {
     health_cv_.wait_for(lk, std::chrono::milliseconds(opts_.health_interval_ms),
-                        [&] { return stopping_.load(); });
-    if (stopping_.load()) return;
+                        [&] { return !running_.load(); });
+    if (!running_.load()) return;
     lk.unlock();
     CheckNow();
     lk.lock();
@@ -1043,96 +1017,6 @@ std::vector<int> Router::ReplicasOf(const std::string& dataset) const {
 }
 
 // ---- Client-facing server --------------------------------------------------
-
-void Router::CloseAllConns() {
-  std::lock_guard<std::mutex> lock(conns_mu_);
-  for (auto& [fd, weak] : conns_) {
-    if (auto conn = weak.lock()) conn->Shutdown();
-  }
-}
-
-void Router::AcceptLoop() {
-  while (!stopping_.load()) {
-    auto accepted = listener_.Accept();
-    if (!accepted.ok()) {
-      if (stopping_.load()) return;
-      ZEUS_LOG(Warning) << opts_.name
-                        << " accept failed: " << accepted.status().ToString();
-      return;
-    }
-    auto conn = std::make_shared<net::FrameConn>(
-        std::move(accepted).value(), "server:" + opts_.name);
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    if (stopping_.load()) return;
-    conns_[conn->socket().fd()] = conn;
-    conn_threads_.emplace_back([this, conn] { ConnLoop(conn); });
-  }
-}
-
-void Router::ConnLoop(std::shared_ptr<net::FrameConn> conn) {
-  bool first = true;
-  while (!stopping_.load()) {
-    net::Frame req;
-    common::Status st;
-    if (first) {
-      first = false;
-      // Sniff the first 4 bytes: "GET " means the connection speaks HTTP
-      // (a /metrics scrape); anything else is a frame length prefix. No
-      // ambiguity — "GET " read as a little-endian u32 is ~542M, far past
-      // kMaxFrameBytes, so a real frame can never alias it.
-      uint8_t head[4];
-      st = conn->socket().ReadAll(head, 4, /*deadline_ms=*/-1);
-      if (!st.ok()) break;
-      if (std::memcmp(head, "GET ", 4) == 0) {
-        ServeHttp(*conn);
-        break;
-      }
-      uint32_t body_len = 0;
-      for (int i = 0; i < 4; ++i) {
-        body_len |= static_cast<uint32_t>(head[i]) << (8 * i);
-      }
-      st = conn->ReadFrameBody(body_len, &req, opts_.write_deadline_ms);
-    } else {
-      st = conn->ReadFrame(&req, /*deadline_ms=*/-1);
-    }
-    if (!st.ok()) break;
-    net::Frame resp = Dispatch(req);
-    st = conn->WriteFrame(resp, opts_.write_deadline_ms);
-    if (!st.ok()) break;
-  }
-  std::lock_guard<std::mutex> lock(conns_mu_);
-  conns_.erase(conn->socket().fd());
-}
-
-void Router::ServeHttp(net::FrameConn& conn) {
-  // "GET " is already consumed; read the rest of the request (capped, with
-  // a deadline — scrapers are line-speed, anything else is garbage).
-  std::string request;
-  while (request.size() < 8192 &&
-         request.find("\r\n\r\n") == std::string::npos) {
-    char c = 0;
-    if (!conn.socket().ReadAll(&c, 1, /*deadline_ms=*/5'000).ok()) break;
-    request.push_back(c);
-  }
-  const std::string path = request.substr(0, request.find(' '));
-
-  std::string status = "404 Not Found";
-  std::string body = "not found\n";
-  if (path == "/metrics") {
-    status = "200 OK";
-    body = PrometheusText(GroupStatsNow(), Health());
-  }
-  const std::string response = common::Format(
-      "HTTP/1.1 %s\r\n"
-      "Content-Type: text/plain; version=0.0.4; charset=utf-8\r\n"
-      "Content-Length: %zu\r\n"
-      "Connection: close\r\n\r\n",
-      status.c_str(), body.size()) + body;
-  conn.socket().WriteAll(response.data(), response.size(),
-                         opts_.write_deadline_ms);
-  conn.Shutdown();
-  conn.Close();
-}
 
 net::Frame Router::Dispatch(const net::Frame& req) {
   switch (req.type) {
@@ -1259,7 +1143,7 @@ net::Frame Router::HandleTicketOp(const net::Frame& req) {
     case net::FrameType::kCancel: {
       common::Status st = client->Cancel(remote_id);
       if (!st.ok()) return MakeErrorFrame(req.request_id, st);
-      return Reply(req.request_id, net::FrameType::kOk, {});
+      return OkFrame(req.request_id);
     }
     case net::FrameType::kTicketState: {
       auto state = client->TicketState(remote_id);
@@ -1299,7 +1183,7 @@ net::Frame Router::HandleRemoveDataset(const net::Frame& req) {
   if (!DecodeName(req.payload, &name)) return BadPayload(req);
   common::Status st = RemoveDataset(name);
   if (!st.ok()) return MakeErrorFrame(req.request_id, st);
-  return Reply(req.request_id, net::FrameType::kOk, {});
+  return OkFrame(req.request_id);
 }
 
 net::Frame Router::HandleAppendFrames(const net::Frame& req) {
@@ -1341,7 +1225,7 @@ net::Frame Router::HandleUnsubscribe(const net::Frame& req) {
   if (!DecodeTicketId(req.payload, &id)) return BadPayload(req);
   common::Status st = Unsubscribe(id);
   if (!st.ok()) return MakeErrorFrame(req.request_id, st);
-  return Reply(req.request_id, net::FrameType::kOk, {});
+  return OkFrame(req.request_id);
 }
 
 }  // namespace zeus::cluster

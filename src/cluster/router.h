@@ -14,8 +14,7 @@
 #include "cluster/protocol.h"
 #include "cluster/remote_shard.h"
 #include "engine/shard_ring.h"
-#include "net/frame_conn.h"
-#include "net/socket.h"
+#include "net/frame_server.h"
 
 namespace zeus::cluster {
 
@@ -93,7 +92,7 @@ class Router {
 
   common::Status Start();
   void Stop();
-  int port() const { return port_; }
+  int port() const { return server_.port(); }
 
   // ---- ZeusDb-style API (also reachable over the wire) ---------------------
 
@@ -205,10 +204,7 @@ class Router {
   void FailOverLocked(std::unique_lock<std::mutex>& lock, int id);
   void HealthLoop();
 
-  // Client-facing frame/HTTP server.
-  void AcceptLoop();
-  void ConnLoop(std::shared_ptr<net::FrameConn> conn);
-  void CloseAllConns();
+  // Client-facing frame server (net::FrameServer does the transport).
   net::Frame Dispatch(const net::Frame& req);
   net::Frame HandleExecute(const net::Frame& req);
   net::Frame HandleSubmit(const net::Frame& req);
@@ -219,8 +215,6 @@ class Router {
   net::Frame HandleSubscribe(const net::Frame& req);
   net::Frame HandleStreamPoll(const net::Frame& req);
   net::Frame HandleUnsubscribe(const net::Frame& req);
-  // GET <path> already sniffed; serves /metrics and closes.
-  void ServeHttp(net::FrameConn& conn);
 
   Options opts_;
 
@@ -299,18 +293,13 @@ class Router {
   std::map<uint64_t, RoutedSub> subs_;
   uint64_t next_sub_id_ = 1;
 
-  net::TcpListener listener_;
-  int port_ = 0;
   std::atomic<bool> running_{false};
-  std::atomic<bool> stopping_{false};
-  std::thread accept_thread_;
   std::thread health_thread_;
   std::mutex health_mu_;
   std::condition_variable health_cv_;
 
-  std::mutex conns_mu_;
-  std::vector<std::thread> conn_threads_;
-  std::map<int, std::weak_ptr<net::FrameConn>> conns_;
+  // Last member, so it is stopped before the state it dispatches into.
+  net::FrameServer server_;
 };
 
 }  // namespace zeus::cluster

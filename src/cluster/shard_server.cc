@@ -3,141 +3,59 @@
 #include <algorithm>
 #include <optional>
 
+#include "cluster/metrics_text.h"
 #include "common/logging.h"
 #include "core/query.h"
 
 namespace zeus::cluster {
 
-namespace {
-
-net::Frame OkFrame(uint64_t request_id) {
-  net::Frame f;
-  f.type = net::FrameType::kOk;
-  f.request_id = request_id;
-  return f;
-}
-
-net::Frame Reply(uint64_t request_id, net::FrameType type,
-                 std::string payload) {
-  net::Frame f;
-  f.type = type;
-  f.request_id = request_id;
-  f.payload = std::move(payload);
-  return f;
-}
-
-net::Frame BadPayload(const net::Frame& req) {
-  return MakeErrorFrame(
-      req.request_id,
-      common::Status::InvalidArgument(
-          std::string("malformed ") + net::FrameTypeName(req.type) +
-          " payload"));
-}
-
-}  // namespace
-
 ShardServer::ShardServer(Options options)
-    : opts_(std::move(options)), engine_(opts_.engine) {}
+    : opts_(std::move(options)),
+      engine_(opts_.engine),
+      server_(opts_.name, opts_.write_deadline_ms,
+              [this](const net::Frame& req) { return Dispatch(req); },
+              [this] { return MetricsText(); }) {}
 
 ShardServer::~ShardServer() { Stop(); }
 
 common::Status ShardServer::Start() {
   if (running_.load()) return common::Status::FailedPrecondition("running");
-  ZEUS_RETURN_IF_ERROR(listener_.Listen(opts_.host, opts_.port));
-  port_ = listener_.port();
-  stopping_.store(false);
+  ZEUS_RETURN_IF_ERROR(server_.Start(opts_.host, opts_.port));
   running_.store(true);
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
   ZEUS_LOG(Info) << opts_.name << " listening on " << opts_.host << ":"
-                 << port_;
+                 << port();
   return common::Status::Ok();
 }
 
-void ShardServer::CloseAllConns() {
-  std::lock_guard<std::mutex> lock(conns_mu_);
-  for (auto& [fd, weak] : conns_) {
-    if (auto conn = weak.lock()) conn->Shutdown();
-  }
-}
+void ShardServer::Stop() { Shutdown(/*drain=*/true); }
 
-void ShardServer::Stop() {
+void ShardServer::Kill() { Shutdown(/*drain=*/false); }
+
+void ShardServer::Shutdown(bool drain) {
   if (!running_.exchange(false)) return;
-  stopping_.store(true);
-  listener_.Close();
-  // Cancel standing queries first: a connection thread parked in a
-  // long-poll Next() wakes as kCancelled instead of riding out its
-  // timeout against a closing server.
+  server_.CloseListener();
   {
+    // Cancel standing queries first: a connection thread parked in a
+    // long-poll Next() wakes as kCancelled instead of riding out its
+    // timeout against a closing server. Even the kill -9 stand-in does
+    // this — they are this process's threads, not the dead server's.
     std::lock_guard<std::mutex> lock(subs_mu_);
     for (auto& [id, sub] : subs_) sub.ticket.Cancel();
   }
-  // Drain before kicking connections: requests already inside the engine
-  // finish and their responses still go out. New frames racing in will
+  // Stop drains before kicking connections: requests already inside the
+  // engine finish and their responses still go out. New frames racing in will
   // fail when their connection is shut below — the cluster contract is
   // explicit kUnavailable, not silent loss, and the client side maps a
   // dead connection to exactly that.
-  engine_.DrainAll();
-  CloseAllConns();
-  if (accept_thread_.joinable()) accept_thread_.join();
-  std::vector<std::thread> threads;
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    threads.swap(conn_threads_);
-  }
-  for (std::thread& t : threads) t.join();
+  if (drain) engine_.DrainAll();
+  server_.Stop();
 }
 
-void ShardServer::Kill() {
-  if (!running_.exchange(false)) return;
-  stopping_.store(true);
-  listener_.Close();
-  {
-    // Even the kill -9 stand-in must unpark long-poll threads — they are
-    // this process's threads, not the dead server's.
-    std::lock_guard<std::mutex> lock(subs_mu_);
-    for (auto& [id, sub] : subs_) sub.ticket.Cancel();
-  }
-  CloseAllConns();
-  if (accept_thread_.joinable()) accept_thread_.join();
-  std::vector<std::thread> threads;
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    threads.swap(conn_threads_);
-  }
-  for (std::thread& t : threads) t.join();
-}
-
-void ShardServer::AcceptLoop() {
-  while (!stopping_.load()) {
-    auto accepted = listener_.Accept();
-    if (!accepted.ok()) {
-      if (stopping_.load()) return;
-      ZEUS_LOG(Warning) << opts_.name
-                        << " accept failed: " << accepted.status().ToString();
-      return;
-    }
-    auto conn = std::make_shared<net::FrameConn>(
-        std::move(accepted).value(), "server:" + opts_.name);
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    if (stopping_.load()) return;
-    conns_[conn->socket().fd()] = conn;
-    conn_threads_.emplace_back([this, conn] { ConnLoop(conn); });
-  }
-}
-
-void ShardServer::ConnLoop(std::shared_ptr<net::FrameConn> conn) {
-  while (!stopping_.load()) {
-    net::Frame req;
-    // Block until a frame arrives; Stop()/Kill() shut the socket down,
-    // which surfaces here as an error.
-    common::Status st = conn->ReadFrame(&req, /*deadline_ms=*/-1);
-    if (!st.ok()) break;  // clean close, corrupt frame, or shutdown
-    net::Frame resp = Dispatch(req);
-    st = conn->WriteFrame(resp, opts_.write_deadline_ms);
-    if (!st.ok()) break;
-  }
-  std::lock_guard<std::mutex> lock(conns_mu_);
-  conns_.erase(conn->socket().fd());
+std::string ShardServer::MetricsText() {
+  engine::GroupStats stats;
+  stats.Absorb(engine_.Stats());
+  stats.num_shards = 1;
+  return PrometheusText(stats, ClusterHealth{});
 }
 
 net::Frame ShardServer::Dispatch(const net::Frame& req) {

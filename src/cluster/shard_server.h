@@ -3,16 +3,12 @@
 
 #include <atomic>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "cluster/protocol.h"
 #include "engine/query_engine.h"
-#include "net/frame_conn.h"
-#include "net/socket.h"
+#include "net/frame_server.h"
 
 namespace zeus::cluster {
 
@@ -21,10 +17,12 @@ namespace zeus::cluster {
 // (tools/shardd.cc) — tests run it in-process against RemoteShard clients
 // so every fault-injection scenario is single-process and deterministic.
 //
-// Connection model: one thread per connection, one request in flight per
-// connection (strict request/response — concurrency comes from clients
-// opening more connections, see RemoteShard's pool). A connection thread
-// blocked in a long Execute keeps only its own connection busy.
+// Connection model: net::FrameServer's — one thread per connection, one
+// request in flight per connection (strict request/response — concurrency
+// comes from clients opening more connections, see RemoteShard's pool). A
+// connection thread blocked in a long Execute keeps only its own
+// connection busy. The frame port also answers GET /metrics with this
+// shard's engine counters.
 //
 // The engine's plan cache should point at the cluster's shared persist
 // dir: RegisterDataset frames with `warm_plans` then pull the dataset's
@@ -63,13 +61,11 @@ class ShardServer {
   // completed.
   void Kill();
 
-  int port() const { return port_; }
+  int port() const { return server_.port(); }
   bool running() const { return running_.load(); }
   engine::QueryEngine& engine() { return engine_; }
 
  private:
-  void AcceptLoop();
-  void ConnLoop(std::shared_ptr<net::FrameConn> conn);
   // Builds the response for one request frame. Never throws; malformed
   // payloads come back as kError(kInvalidArgument).
   net::Frame Dispatch(const net::Frame& req);
@@ -91,22 +87,14 @@ class ShardServer {
 
   // The shard's applied epoch for `name` (0 if never registered).
   uint64_t AppliedEpoch(const std::string& name);
-
-  void CloseAllConns();
+  // Stop (drain == true) and Kill: close the listener, cancel standing
+  // queries, optionally drain the engine, then kick and join connections.
+  void Shutdown(bool drain);
+  // GET /metrics body: this engine's counters (no cluster health here).
+  std::string MetricsText();
 
   Options opts_;
   engine::QueryEngine engine_;
-
-  net::TcpListener listener_;
-  int port_ = 0;
-  std::atomic<bool> running_{false};
-  std::atomic<bool> stopping_{false};
-  std::thread accept_thread_;
-
-  std::mutex conns_mu_;
-  std::vector<std::thread> conn_threads_;
-  std::map<int, std::weak_ptr<net::FrameConn>> conns_;  // keyed by fd
-  int next_conn_id_ = 0;
 
   // Async surface: tickets live here between kSubmit and the terminal
   // kTicketWait (which erases them). Tickets a client abandons stay until
@@ -139,6 +127,10 @@ class ShardServer {
   };
   std::mutex subs_mu_;
   std::map<uint64_t, PendingSub> subs_;
+
+  std::atomic<bool> running_{false};
+  // Last member, so it is stopped before the state it dispatches into.
+  net::FrameServer server_;
 };
 
 }  // namespace zeus::cluster

@@ -114,7 +114,6 @@ common::Result<std::unique_ptr<core::Localizer>> ExecutorFactory::Make(
     case ExecutorKind::kBatched: {
       core::BatchedExecutor::Options bopts;
       bopts.max_batch = opts.max_batch;
-      bopts.step_pool = opts.step_pool;
       return std::unique_ptr<core::Localizer>(
           std::make_unique<core::BatchedExecutor>(plan, bopts));
     }

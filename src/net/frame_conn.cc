@@ -49,11 +49,7 @@ common::Status FrameConn::ReadFrame(Frame* out, int deadline_ms) {
     if (st.code() != common::StatusCode::kNotFound) Close();
     return st;
   }
-  uint32_t body_len = 0;
-  for (int i = 0; i < 4; ++i) {
-    body_len |= static_cast<uint32_t>(len_bytes[i]) << (8 * i);
-  }
-  return ReadFrameBody(body_len, out, deadline_ms);
+  return ReadFrameBody(LoadU32(len_bytes), out, deadline_ms);
 }
 
 common::Status FrameConn::ReadFrameBody(uint32_t body_len, Frame* out,

@@ -24,7 +24,7 @@ class FrameConn {
   common::Status WriteFrame(const Frame& frame, int deadline_ms);
   common::Status ReadFrame(Frame* out, int deadline_ms);
   // Continuation of ReadFrame for callers that already consumed the 4-byte
-  // length prefix themselves (the router sniffs "GET " for /metrics before
+  // length prefix themselves (FrameServer sniffs "GET " for /metrics before
   // deciding the connection speaks HTTP or frames).
   common::Status ReadFrameBody(uint32_t body_len, Frame* out, int deadline_ms);
 

@@ -55,21 +55,19 @@ bool ParseAddr(const std::string& host, int port, sockaddr_in* addr) {
 TcpSocket& TcpSocket::operator=(TcpSocket&& other) noexcept {
   if (this != &other) {
     Close();
-    fd_ = other.fd_;
-    other.fd_ = -1;
+    fd_ = other.fd_.exchange(-1);
   }
   return *this;
 }
 
 void TcpSocket::Close() {
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
+  const int fd = fd_.exchange(-1);
+  if (fd >= 0) ::close(fd);
 }
 
 void TcpSocket::Shutdown() {
-  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
+  const int fd = fd_.load();
+  if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
 }
 
 common::Status TcpSocket::Connect(const std::string& host, int port,
@@ -118,12 +116,13 @@ common::Status TcpSocket::Connect(const std::string& host, int port,
 
 common::Status TcpSocket::WriteAll(const void* data, size_t n,
                                    int deadline_ms) {
-  if (fd_ < 0) return common::Status::Unavailable("socket closed");
+  const int fd = fd_.load();
+  if (fd < 0) return common::Status::Unavailable("socket closed");
   const auto start = Clock::now();
   const char* p = static_cast<const char*>(data);
   size_t done = 0;
   while (done < n) {
-    pollfd pfd{fd_, POLLOUT, 0};
+    pollfd pfd{fd, POLLOUT, 0};
     const int remaining = RemainingMs(start, deadline_ms);
     if (deadline_ms > 0 && remaining == 0) {
       return common::Status::Unavailable("write deadline exceeded");
@@ -135,7 +134,7 @@ common::Status TcpSocket::WriteAll(const void* data, size_t n,
       return Unavailable("poll");
     }
     // MSG_NOSIGNAL: a peer that died must surface as EPIPE, not SIGPIPE.
-    const ssize_t w = ::send(fd_, p + done, n - done, MSG_NOSIGNAL);
+    const ssize_t w = ::send(fd, p + done, n - done, MSG_NOSIGNAL);
     if (w < 0) {
       if (errno == EINTR || errno == EAGAIN) continue;
       return Unavailable("send");
@@ -146,12 +145,13 @@ common::Status TcpSocket::WriteAll(const void* data, size_t n,
 }
 
 common::Status TcpSocket::ReadAll(void* data, size_t n, int deadline_ms) {
-  if (fd_ < 0) return common::Status::Unavailable("socket closed");
+  const int fd = fd_.load();
+  if (fd < 0) return common::Status::Unavailable("socket closed");
   const auto start = Clock::now();
   char* p = static_cast<char*>(data);
   size_t done = 0;
   while (done < n) {
-    pollfd pfd{fd_, POLLIN, 0};
+    pollfd pfd{fd, POLLIN, 0};
     const int remaining = RemainingMs(start, deadline_ms);
     if (deadline_ms > 0 && remaining == 0) {
       return common::Status::Unavailable("read deadline exceeded");
@@ -162,7 +162,7 @@ common::Status TcpSocket::ReadAll(void* data, size_t n, int deadline_ms) {
       if (errno == EINTR) continue;
       return Unavailable("poll");
     }
-    const ssize_t r = ::recv(fd_, p + done, n - done, 0);
+    const ssize_t r = ::recv(fd, p + done, n - done, 0);
     if (r == 0) {
       // Clean close. Between frames (nothing read yet) this is the normal
       // way a peer ends a connection; mid-frame it means the peer died.
@@ -209,11 +209,11 @@ common::Status TcpListener::Listen(const std::string& host, int port) {
 common::Result<TcpSocket> TcpListener::Accept() {
   // Snapshot the fd: Close() from another thread is the documented way to
   // stop an accept loop.
-  const int fd = fd_;
+  const int fd = fd_.load();
   if (fd < 0) return common::Status::Unavailable("listener closed");
   const int conn = ::accept(fd, nullptr, nullptr);
   if (conn < 0) {
-    if (fd_ < 0) return common::Status::Unavailable("listener closed");
+    if (fd_.load() < 0) return common::Status::Unavailable("listener closed");
     return Unavailable("accept");
   }
   int one = 1;
@@ -222,9 +222,8 @@ common::Result<TcpSocket> TcpListener::Accept() {
 }
 
 void TcpListener::Close() {
-  if (fd_ >= 0) {
-    const int fd = fd_;
-    fd_ = -1;
+  const int fd = fd_.exchange(-1);
+  if (fd >= 0) {
     // shutdown() first so a blocked accept() returns even on Linux where
     // close() alone does not reliably wake it.
     ::shutdown(fd, SHUT_RDWR);

@@ -1,6 +1,7 @@
 #ifndef ZEUS_NET_SOCKET_H_
 #define ZEUS_NET_SOCKET_H_
 
+#include <atomic>
 #include <string>
 
 #include "common/status.h"
@@ -22,7 +23,7 @@ class TcpSocket {
   explicit TcpSocket(int fd) : fd_(fd) {}
   ~TcpSocket() { Close(); }
 
-  TcpSocket(TcpSocket&& other) noexcept : fd_(other.fd_) { other.fd_ = -1; }
+  TcpSocket(TcpSocket&& other) noexcept : fd_(other.fd_.exchange(-1)) {}
   TcpSocket& operator=(TcpSocket&& other) noexcept;
   TcpSocket(const TcpSocket&) = delete;
   TcpSocket& operator=(const TcpSocket&) = delete;
@@ -40,15 +41,17 @@ class TcpSocket {
   // mid-frame".
   common::Status ReadAll(void* data, size_t n, int deadline_ms);
 
-  bool valid() const { return fd_ >= 0; }
-  int fd() const { return fd_; }
+  bool valid() const { return fd_.load() >= 0; }
+  int fd() const { return fd_.load(); }
   void Close();
   // shutdown(2) both directions: unblocks any thread inside ReadAll /
   // WriteAll on this socket (how servers kick live connections on Stop).
   void Shutdown();
 
  private:
-  int fd_ = -1;
+  // Atomic: a server's stopping thread calls Shutdown() while the
+  // connection's own thread may Close() it.
+  std::atomic<int> fd_{-1};
 };
 
 class TcpListener {
@@ -67,11 +70,13 @@ class TcpListener {
   common::Result<TcpSocket> Accept();
 
   int port() const { return port_; }
-  bool valid() const { return fd_ >= 0; }
+  bool valid() const { return fd_.load() >= 0; }
   void Close();
 
  private:
-  int fd_ = -1;
+  // Atomic: Close() runs on the stopping thread while Accept() blocks on
+  // the accept thread.
+  std::atomic<int> fd_{-1};
   int port_ = 0;
 };
 

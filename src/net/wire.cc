@@ -105,25 +105,16 @@ bool WireReader::U8(uint8_t* v) {
 
 bool WireReader::U32(uint32_t* v) {
   if (!Need(4)) return false;
-  uint32_t out = 0;
-  for (int i = 0; i < 4; ++i) {
-    out |= static_cast<uint32_t>(static_cast<uint8_t>(buf_[pos_ + i]))
-           << (8 * i);
-  }
+  *v = LoadU32(buf_.data() + pos_);
   pos_ += 4;
-  *v = out;
   return true;
 }
 
 bool WireReader::U64(uint64_t* v) {
   if (!Need(8)) return false;
-  uint64_t out = 0;
-  for (int i = 0; i < 8; ++i) {
-    out |= static_cast<uint64_t>(static_cast<uint8_t>(buf_[pos_ + i]))
-           << (8 * i);
-  }
+  const char* p = buf_.data() + pos_;
+  *v = LoadU32(p) | uint64_t{LoadU32(p + 4)} << 32;
   pos_ += 8;
-  *v = out;
   return true;
 }
 
@@ -182,14 +173,8 @@ common::Status DecodeFrameBody(const std::string& body, Frame* out) {
     return common::Status::InvalidArgument("frame body too short");
   }
   const size_t crc_off = body.size() - kFrameTrailerBytes;
-  WireReader crc_reader(body);
-  // Read the stored crc from the tail manually.
-  uint32_t stored = 0;
-  for (int i = 0; i < 4; ++i) {
-    stored |= static_cast<uint32_t>(static_cast<uint8_t>(body[crc_off + i]))
-              << (8 * i);
-  }
-  if (common::Crc32(0, body.data(), crc_off) != stored) {
+  if (common::Crc32(0, body.data(), crc_off) !=
+      LoadU32(body.data() + crc_off)) {
     return common::Status::InvalidArgument("frame crc32 mismatch");
   }
   WireReader r(body);

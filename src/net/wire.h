@@ -34,6 +34,13 @@ inline constexpr uint32_t kFrameTrailerBytes = 4;  // crc32
 // that strayed onto the binary port) and is rejected before allocation.
 inline constexpr uint32_t kMaxFrameBytes = 64u << 20;
 
+// The little-endian u32 at `p` (length prefixes, crc trailers).
+inline uint32_t LoadU32(const void* p) {
+  const auto* b = static_cast<const uint8_t*>(p);
+  return uint32_t{b[0]} | uint32_t{b[1]} << 8 | uint32_t{b[2]} << 16 |
+         uint32_t{b[3]} << 24;
+}
+
 // Frame types. Requests < 32, responses >= 32. The request set is exactly
 // the cluster surface: query submission/execution/cancellation, health +
 // stats, dataset registration (which doubles as the plan-catalog handoff

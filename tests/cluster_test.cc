@@ -25,6 +25,7 @@
 #include "cluster/remote_shard.h"
 #include "cluster/router.h"
 #include "cluster/shard_server.h"
+#include "common/stringutil.h"
 #include "net/fault.h"
 #include "video/dataset.h"
 
@@ -65,6 +66,19 @@ void ExpectSameOutcome(const engine::QueryResult& a,
   EXPECT_EQ(a.metrics.fp, b.metrics.fp);
   EXPECT_EQ(a.metrics.fn, b.metrics.fn);
   EXPECT_EQ(a.metrics.tn, b.metrics.tn);
+}
+
+// One HTTP/1.1 GET on `port`; returns everything the server sent before
+// it closed the connection (Connection: close).
+std::string HttpGet(int port, const std::string& path) {
+  net::TcpSocket http;
+  if (!http.Connect("127.0.0.1", port, 2'000).ok()) return "";
+  const std::string get = "GET " + path + " HTTP/1.1\r\nHost: x\r\n\r\n";
+  if (!http.WriteAll(get.data(), get.size(), 2'000).ok()) return "";
+  std::string response;
+  char c = 0;
+  while (http.ReadAll(&c, 1, 2'000).ok()) response.push_back(c);
+  return response;
 }
 
 class FaultGuard {
@@ -196,6 +210,78 @@ TEST_F(ClusterTest, ServerSideErrorsArriveAsTheSameStatus) {
   auto parse = client_->Execute(garbage);
   EXPECT_FALSE(parse.ok());
   EXPECT_FALSE(common::IsRetryable(parse.status().code()));
+}
+
+// Every shard port is dual-protocol: the port that serves frames also
+// answers a /metrics scrape with the shard's own engine counters.
+TEST_F(ClusterTest, ShardServesMetricsOnItsFramePort) {
+  ASSERT_TRUE(client_->Execute(Exec()).ok());
+  auto stats = client_->Stats();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+
+  const std::string metrics = HttpGet(server_->port(), "/metrics");
+  EXPECT_EQ(metrics.rfind("HTTP/1.1 200 OK\r\n", 0), 0u) << metrics;
+  EXPECT_NE(metrics.find(common::Format("zeus_queries_completed_total %ld\n",
+                                        stats.value().stats.completed)),
+            std::string::npos);
+  EXPECT_NE(metrics.find(common::Format("zeus_plan_disk_loads_total %ld\n",
+                                        stats.value().stats.disk_loads)),
+            std::string::npos);
+  EXPECT_NE(metrics.find("zeus_planner_runs_total 0\n"), std::string::npos);
+  EXPECT_NE(metrics.find("zeus_shards_alive 1\n"), std::string::npos);
+  // Router-only families read zero on a shard.
+  EXPECT_NE(metrics.find("zeus_cluster_failovers_total 0\n"),
+            std::string::npos);
+
+  const std::string missing = HttpGet(server_->port(), "/nope");
+  EXPECT_EQ(missing.rfind("HTTP/1.1 404 Not Found\r\n", 0), 0u) << missing;
+
+  // The scrapes did not disturb the frame protocol on the same port.
+  EXPECT_TRUE(client_->Ping().ok());
+}
+
+// Stop() and Kill() must not wait on idle clients. Two connections sit in
+// a blocking server-side read: a frame connection parked between requests
+// and a scrape stalled mid-request (the server holds it open for the rest
+// of the HTTP head). Both calls return promptly, the stalled scrape is
+// closed, and the next frame on the parked connection fails retryably.
+TEST_F(ClusterTest, ShardStopAndKillKickIdleConnections) {
+  for (const bool kill : {false, true}) {
+    SCOPED_TRACE(kill ? "Kill" : "Stop");
+    cluster::ShardServer::Options sopts;
+    sopts.engine = EngineOptions(*persist_root_ + "/idle");
+    sopts.name = kill ? "idle-kill" : "idle-stop";
+    cluster::ShardServer server(sopts);
+    ASSERT_TRUE(server.Start().ok());
+
+    cluster::RemoteShard::Options copts;
+    copts.port = server.port();
+    copts.max_attempts = 1;
+    copts.name = "idle-client";
+    cluster::RemoteShard client(copts);
+    ASSERT_TRUE(client.Ping().ok());  // leaves one pooled, idle connection
+
+    net::TcpSocket scrape;
+    ASSERT_TRUE(scrape.Connect("127.0.0.1", server.port(), 2'000).ok());
+    const std::string partial = "GET /metrics HTTP/1.1\r\n";
+    ASSERT_TRUE(scrape.WriteAll(partial.data(), partial.size(), 2'000).ok());
+    char c = 0;
+    const common::Status pending = scrape.ReadAll(&c, 1, 300);
+    EXPECT_NE(pending.message().find("deadline"), std::string::npos)
+        << "scrape was not held open: " << pending.ToString();
+
+    const auto t0 = std::chrono::steady_clock::now();
+    if (kill) {
+      server.Kill();
+    } else {
+      server.Stop();
+    }
+    EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(3));
+    EXPECT_FALSE(server.running());
+
+    EXPECT_FALSE(scrape.ReadAll(&c, 1, 2'000).ok());
+    EXPECT_EQ(client.Ping().code(), common::StatusCode::kUnavailable);
+  }
 }
 
 // ---- Fault-injection scenarios ---------------------------------------------
