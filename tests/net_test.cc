@@ -6,6 +6,9 @@
 // no partial effect, no crash, no silent acceptance of corrupt bytes.
 
 #include <cstring>
+#include <functional>
+#include <map>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -716,6 +719,377 @@ TEST(ProtocolTest, ErrorFrameCarriesStatusAcrossTheWire) {
   bogus.payload = "";
   EXPECT_EQ(cluster::DecodeErrorFrame(bogus).code(),
             common::StatusCode::kUnavailable);
+}
+
+// ---- Golden bytes ----------------------------------------------------------
+
+// One payload type on the wire: the encoding of a fully populated instance,
+// and a decode-then-re-encode of arbitrary bytes (nullopt when the decoder
+// rejects them).
+struct WireSample {
+  std::string name;
+  std::string bytes;
+  std::function<std::optional<std::string>(const std::string&)> reencode;
+};
+
+template <typename T, typename Encode, typename Decode>
+WireSample Sample(std::string name, const T& value, Encode encode,
+                  Decode decode) {
+  return {std::move(name), encode(value),
+          [encode, decode](const std::string& p) -> std::optional<std::string> {
+            T out{};
+            if (!decode(p, &out)) return std::nullopt;
+            return encode(out);
+          }};
+}
+
+engine::QueryResult FullQueryResult() {
+  engine::QueryResult r;
+  r.segments = {{0, 10, 25}, {3, 0, 7}};
+  r.metrics.tp = 120;
+  r.metrics.fp = 4;
+  r.metrics.fn = 9;
+  r.metrics.tn = 10000;
+  r.metrics.precision = 0.96875;
+  r.metrics.recall = 0.9375;
+  r.metrics.f1 = 0.953125;
+  r.throughput_fps = 2141.5;
+  r.gpu_seconds = 0.25;
+  r.wall_seconds = 1.5;
+  r.plan_seconds = 3.0;
+  r.executor = "Zeus-RL";
+  r.explanation = "plan";
+  r.consistency = engine::Consistency::kDegraded;
+  r.divergence = "shard 2 behind";
+  r.epoch = 3;
+  r.achieved_confidence = 0.8125;
+  r.accuracy_band = 0.75;
+  r.tier = core::QueryTier::kBestEffort;
+  r.budget_exhausted = true;
+  r.window_begin = 120;
+  r.window_end = 520;
+  r.frame_epoch = 6;
+  return r;
+}
+
+engine::HistogramStats FullHistogram(long seed) {
+  engine::HistogramStats h;
+  h.count = seed + 2;
+  h.sum_seconds = 0.5 * static_cast<double>(seed);
+  h.buckets[3] = seed;
+  h.buckets[39] = 2;
+  return h;
+}
+
+cluster::StatsReply FullStatsReply() {
+  cluster::StatsReply s;
+  s.stats.shard = 2;
+  s.stats.queue_depth = 1;
+  s.stats.active = 2;
+  s.stats.peak_queue_depth = 3;
+  s.stats.submitted = 4;
+  s.stats.completed = 5;
+  s.stats.failed = 6;
+  s.stats.cancelled = 7;
+  s.stats.rejected = 8;
+  s.stats.drains = 9;
+  s.stats.planner_runs = 10;
+  s.stats.cache_hits = 11;
+  s.stats.disk_loads = 12;
+  s.stats.degrade_level = 13;
+  s.stats.band_degraded = 14;
+  s.stats.degraded_band_seconds = 1.25;
+  s.stats.band_plan_hits = {{750, 4}, {800, 9}};
+  s.stats.confidence.count = 3;
+  s.stats.confidence.sum = 2.5;
+  s.stats.confidence.buckets[15] = 1;
+  s.stats.confidence.buckets[16] = 2;
+  s.stats.queue_wait = FullHistogram(5);
+  s.stats.exec = FullHistogram(7);
+  s.stats.appends = 15;
+  s.stats.appended_frames = 16;
+  s.stats.subscribes = 17;
+  s.stats.unsubscribes = 18;
+  s.stats.stream_results = 19;
+  s.stats.stream_dropped = 20;
+  s.stats.feature_hits = 21;
+  s.stats.feature_misses = 22;
+  s.stats.feature_evictions = 23;
+  for (int i = 0; i < 2; ++i) {
+    engine::DatasetStats row;
+    row.dataset = i == 0 ? "bdd" : "thumos";
+    row.queue_depth = 30 + i;
+    row.weight = 2 + i;
+    row.submitted = 40 + i;
+    row.completed = 50 + i;
+    row.failed = 60 + i;
+    row.cancelled = 70 + i;
+    row.rejected = 80 + i;
+    row.queue_wait = FullHistogram(90 + i);
+    row.exec = FullHistogram(100 + i);
+    s.stats.datasets.push_back(row);
+  }
+  s.num_shards = 3;
+  s.failovers = 24;
+  s.rehomed_datasets = 25;
+  s.dead_shards = 26;
+  s.replication = 2;
+  s.replicas_behind = 27;
+  s.read_failovers = 28;
+  s.certain_answers = 29;
+  s.degraded_answers = 30;
+  s.plan_resyncs = 31;
+  return s;
+}
+
+// Every payload type of cluster/protocol.h, each fully populated (no field
+// left at a default that would hide it), plus the kError payload.
+std::vector<WireSample> AllPayloads() {
+  cluster::DatasetSpec spec;
+  spec.name = "bdd-sliced";
+  spec.family = video::DatasetFamily::kKittiLike;
+  spec.seed = 9917;
+  spec.num_videos = 28;
+  spec.frames_per_video = 400;
+  spec.native_resolution = 720;
+  spec.warm_plans = true;
+  spec.epoch = 41;
+  cluster::ExecRequest exec;
+  exec.dataset = "bdd";
+  exec.sql = "SELECT 1";
+  exec.priority = -3;
+  exec.tier = core::QueryTier::kBalanced;
+  exec.min_accuracy = 0.7;
+  exec.max_latency_budget = 12.5;
+  cluster::SubscribeRequest sub;
+  sub.dataset = "stream";
+  sub.sql = "SELECT 2";
+  sub.sub_id = 41;
+  sub.window_frames = 400;
+  sub.max_buffered = 8;
+  sub.tier = core::QueryTier::kBestEffort;
+  sub.min_accuracy = 0.8;
+  sub.max_latency_budget = 2.5;
+  cluster::StreamResultMsg stream_result;
+  stream_result.seq = 7;
+  stream_result.dropped = 2;
+  stream_result.result = FullQueryResult();
+
+  using cluster::TicketStateReply;
+  return {
+      Sample("DatasetSpec", spec, cluster::EncodeDatasetSpec,
+             cluster::DecodeDatasetSpec),
+      Sample("ExecRequest", exec, cluster::EncodeExecRequest,
+             cluster::DecodeExecRequest),
+      Sample("QueryResult", FullQueryResult(), cluster::EncodeQueryResult,
+             cluster::DecodeQueryResult),
+      Sample("SyncPlansRequest", cluster::SyncPlansRequest{"bdd", 7},
+             cluster::EncodeSyncPlans, cluster::DecodeSyncPlans),
+      Sample("SyncReply", cluster::SyncReply{3, 7}, cluster::EncodeSyncReply,
+             cluster::DecodeSyncReply),
+      Sample("EpochReply", cluster::EpochReply{12, true, 1664},
+             cluster::EncodeEpochReply, cluster::DecodeEpochReply),
+      Sample("AppendFramesRequest",
+             cluster::AppendFramesRequest{"stream", 1664, 0, 9},
+             cluster::EncodeAppendFrames, cluster::DecodeAppendFrames),
+      Sample("AppendReply", cluster::AppendReply{9, 1664, 64},
+             cluster::EncodeAppendReply, cluster::DecodeAppendReply),
+      Sample("SubscribeRequest", sub, cluster::EncodeSubscribeRequest,
+             cluster::DecodeSubscribeRequest),
+      Sample("SubscribeReply", cluster::SubscribeReply{41, 3, true},
+             cluster::EncodeSubscribeReply, cluster::DecodeSubscribeReply),
+      Sample("StreamPollRequest", cluster::StreamPollRequest{41, 6, 750},
+             cluster::EncodeStreamPoll, cluster::DecodeStreamPoll),
+      Sample("StreamResultMsg", stream_result, cluster::EncodeStreamResult,
+             cluster::DecodeStreamResult),
+      Sample("StatsReply", FullStatsReply(), cluster::EncodeStatsReply,
+             cluster::DecodeStatsReply),
+      Sample("TicketId", uint64_t{77}, cluster::EncodeTicketId,
+             cluster::DecodeTicketId),
+      Sample("TicketStateReply",
+             TicketStateReply{engine::QueryState::kExecuting, 0.5},
+             cluster::EncodeTicketState, cluster::DecodeTicketState),
+      Sample("RegisterReply", uint64_t{4}, cluster::EncodeRegisterReply,
+             cluster::DecodeRegisterReply),
+      Sample("Name", std::string("bdd"), cluster::EncodeName,
+             cluster::DecodeName),
+      Sample("Error", common::Status::ResourceExhausted("queue full"),
+             [](const common::Status& s) {
+               return cluster::MakeErrorFrame(9, s).payload;
+             },
+             [](const std::string& p, common::Status* out) {
+               net::Frame frame;
+               frame.type = net::FrameType::kError;
+               frame.payload = p;
+               *out = cluster::DecodeErrorFrame(frame);
+               return out->message() != "malformed error frame";
+             }),
+  };
+}
+
+std::string Hex(const std::string& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (unsigned char c : bytes) {
+    out.push_back(kDigits[c >> 4]);
+    out.push_back(kDigits[c & 15]);
+  }
+  return out;
+}
+
+// The exact bytes of every sample in AllPayloads(). A codec change that
+// moves any of them is a wire-format change: it needs a kWireVersion bump,
+// not an edit here.
+const std::map<std::string, std::string>& GoldenHex() {
+  static const auto* golden = new std::map<std::string, std::string>{
+      {"DatasetSpec",
+       "0a0000006264642d736c6963656404bd260000000000001c00000090010000d0"
+       "020000012900000000000000"},
+      {"ExecRequest",
+       "030000006264640800000053454c4543542031fdffffff01666666666666e63f"
+       "0000000000002940"},
+      {"QueryResult",
+       "02000000000000000a0000001900000003000000000000000700000078000000"
+       "0000000004000000000000000900000000000000102700000000000000000000"
+       "0000ef3f000000000000ee3f000000000080ee3f0000000000bba04000000000"
+       "0000d03f000000000000f83f0000000000000840070000005a6575732d524c04"
+       "000000706c616e010e0000007368617264203220626568696e64030000000000"
+       "0000000000000000ea3f000000000000e83f0201780000000000000008020000"
+       "000000000600000000000000"},
+      {"SyncPlansRequest",
+       "030000006264640700000000000000"},
+      {"SyncReply",
+       "03000000000000000700000000000000"},
+      {"EpochReply",
+       "0c00000000000000018006000000000000"},
+      {"AppendFramesRequest",
+       "0600000073747265616d80060000000000000000000000000000090000000000"
+       "0000"},
+      {"AppendReply",
+       "090000000000000080060000000000004000000000000000"},
+      {"SubscribeRequest",
+       "0600000073747265616d0800000053454c454354203229000000000000009001"
+       "00000000000008000000029a9999999999e93f0000000000000440"},
+      {"SubscribeReply",
+       "2900000000000000030000000000000001"},
+      {"StreamPollRequest",
+       "29000000000000000600000000000000ee020000"},
+      {"StreamResultMsg",
+       "07000000000000000200000000000000cc00000002000000000000000a000000"
+       "1900000003000000000000000700000078000000000000000400000000000000"
+       "09000000000000001027000000000000000000000000ef3f000000000000ee3f"
+       "000000000080ee3f0000000000bba040000000000000d03f000000000000f83f"
+       "0000000000000840070000005a6575732d524c04000000706c616e010e000000"
+       "7368617264203220626568696e640300000000000000000000000000ea3f0000"
+       "00000000e83f0201780000000000000008020000000000000600000000000000"},
+      {"StatsReply",
+       "0200000001000000000000000200000000000000030000000000000004000000"
+       "0000000005000000000000000600000000000000070000000000000008000000"
+       "0000000009000000000000000a000000000000000b000000000000000c000000"
+       "000000000d000000000000000e00000000000000000000000000f43f02000000"
+       "ee02000000000000040000000000000020030000000000000900000000000000"
+       "0300000000000000000000000000044000000000000000000000000000000000"
+       "0000000000000000000000000000000000000000000000000000000000000000"
+       "0000000000000000000000000000000000000000000000000000000000000000"
+       "0000000000000000000000000000000000000000000000000000000000000000"
+       "0000000000000000010000000000000002000000000000000000000000000000"
+       "0000000000000000000000000000000007000000000000000000000000000440"
+       "0000000000000000000000000000000000000000000000000500000000000000"
+       "0000000000000000000000000000000000000000000000000000000000000000"
+       "0000000000000000000000000000000000000000000000000000000000000000"
+       "0000000000000000000000000000000000000000000000000000000000000000"
+       "0000000000000000000000000000000000000000000000000000000000000000"
+       "0000000000000000000000000000000000000000000000000000000000000000"
+       "0000000000000000000000000000000000000000000000000000000000000000"
+       "0000000000000000000000000000000000000000000000000000000000000000"
+       "0000000000000000000000000000000000000000000000000000000000000000"
+       "0000000000000000000000000000000000000000000000000200000000000000"
+       "09000000000000000000000000000c4000000000000000000000000000000000"
+       "0000000000000000070000000000000000000000000000000000000000000000"
+       "0000000000000000000000000000000000000000000000000000000000000000"
+       "0000000000000000000000000000000000000000000000000000000000000000"
+       "0000000000000000000000000000000000000000000000000000000000000000"
+       "0000000000000000000000000000000000000000000000000000000000000000"
+       "0000000000000000000000000000000000000000000000000000000000000000"
+       "0000000000000000000000000000000000000000000000000000000000000000"
+       "0000000000000000000000000000000000000000000000000000000000000000"
+       "0000000000000000000000000000000000000000000000000000000000000000"
+       "000000000000000002000000000000000f000000000000001000000000000000"
+       "1100000000000000120000000000000013000000000000001400000000000000"
+       "1500000000000000160000000000000017000000000000000200000003000000"
+       "6264641e0000000000000002000000280000000000000032000000000000003c"
+       "00000000000000460000000000000050000000000000005c0000000000000000"
+       "000000008046400000000000000000000000000000000000000000000000005a"
+       "0000000000000000000000000000000000000000000000000000000000000000"
+       "0000000000000000000000000000000000000000000000000000000000000000"
+       "0000000000000000000000000000000000000000000000000000000000000000"
+       "0000000000000000000000000000000000000000000000000000000000000000"
+       "0000000000000000000000000000000000000000000000000000000000000000"
+       "0000000000000000000000000000000000000000000000000000000000000000"
+       "0000000000000000000000000000000000000000000000000000000000000000"
+       "0000000000000000000000000000000000000000000000000000000000000000"
+       "0000000000000000000000000000000000000000000000000000000000000002"
+       "0000000000000066000000000000000000000000004940000000000000000000"
+       "0000000000000000000000000000006400000000000000000000000000000000"
+       "0000000000000000000000000000000000000000000000000000000000000000"
+       "0000000000000000000000000000000000000000000000000000000000000000"
+       "0000000000000000000000000000000000000000000000000000000000000000"
+       "0000000000000000000000000000000000000000000000000000000000000000"
+       "0000000000000000000000000000000000000000000000000000000000000000"
+       "0000000000000000000000000000000000000000000000000000000000000000"
+       "0000000000000000000000000000000000000000000000000000000000000000"
+       "0000000000000000000000000000000000000000000000000000000000000000"
+       "0000000000000000000000000000000200000000000000060000007468756d6f"
+       "731f0000000000000003000000290000000000000033000000000000003d0000"
+       "0000000000470000000000000051000000000000005d00000000000000000000"
+       "0000c046400000000000000000000000000000000000000000000000005b0000"
+       "0000000000000000000000000000000000000000000000000000000000000000"
+       "0000000000000000000000000000000000000000000000000000000000000000"
+       "0000000000000000000000000000000000000000000000000000000000000000"
+       "0000000000000000000000000000000000000000000000000000000000000000"
+       "0000000000000000000000000000000000000000000000000000000000000000"
+       "0000000000000000000000000000000000000000000000000000000000000000"
+       "0000000000000000000000000000000000000000000000000000000000000000"
+       "0000000000000000000000000000000000000000000000000000000000000000"
+       "0000000000000000000000000000000000000000000000000000000000020000"
+       "0000000000670000000000000000000000004049400000000000000000000000"
+       "0000000000000000000000000065000000000000000000000000000000000000"
+       "0000000000000000000000000000000000000000000000000000000000000000"
+       "0000000000000000000000000000000000000000000000000000000000000000"
+       "0000000000000000000000000000000000000000000000000000000000000000"
+       "0000000000000000000000000000000000000000000000000000000000000000"
+       "0000000000000000000000000000000000000000000000000000000000000000"
+       "0000000000000000000000000000000000000000000000000000000000000000"
+       "0000000000000000000000000000000000000000000000000000000000000000"
+       "0000000000000000000000000000000000000000000000000000000000000000"
+       "0000000000000000000000000002000000000000000300000018000000000000"
+       "0019000000000000001a00000000000000020000001b000000000000001c0000"
+       "00000000001d000000000000001e000000000000001f00000000000000"},
+      {"TicketId",
+       "4d00000000000000"},
+      {"TicketStateReply",
+       "02000000000000e03f"},
+      {"RegisterReply",
+       "0400000000000000"},
+      {"Name",
+       "03000000626464"},
+      {"Error",
+       "080a00000071756575652066756c6c"},
+  };
+  return *golden;
+}
+
+TEST(ProtocolTest, GoldenBytesPinEveryPayloadFormat) {
+  const std::vector<WireSample> samples = AllPayloads();
+  EXPECT_EQ(samples.size(), GoldenHex().size());
+  for (const WireSample& s : samples) {
+    SCOPED_TRACE(s.name);
+    auto it = GoldenHex().find(s.name);
+    ASSERT_NE(it, GoldenHex().end());
+    EXPECT_EQ(Hex(s.bytes), it->second);
+    // The decoder reads back exactly the fields the encoder wrote.
+    EXPECT_EQ(s.reencode(s.bytes), std::optional<std::string>(s.bytes));
+  }
 }
 
 // ---- Real TCP exchange -----------------------------------------------------
