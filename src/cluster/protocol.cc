@@ -1,128 +1,387 @@
 #include "cluster/protocol.h"
 
+#include <map>
+#include <type_traits>
+#include <vector>
+
 namespace zeus::cluster {
 
 namespace {
 
-constexpr int kMaxFamily = static_cast<int>(video::DatasetFamily::kKittiLike);
-constexpr int kMaxStatusCode =
-    static_cast<int>(common::StatusCode::kUnavailable);
-constexpr int kMaxQueryState =
-    static_cast<int>(engine::QueryState::kCancelled);
-constexpr int kMaxConsistency =
-    static_cast<int>(engine::Consistency::kDegraded);
-constexpr int kMaxTier = static_cast<int>(core::QueryTier::kBestEffort);
+// Each payload's wire format is written once, as a field list in wire
+// order: `Fields(io, msg)`, run by a net::WireWriter to encode and by a
+// net::WireReader to decode. The reader poisons itself on the first bad
+// field and makes every later one a no-op, so a field list has no error
+// paths. Checks beyond the bytes themselves are the message's `Valid`.
 
-void EncodeHist(net::WireWriter* w, const engine::HistogramStats& h) {
-  w->I64(h.count);
-  w->F64(h.sum_seconds);
-  for (long b : h.buckets) w->I64(b);
+// The message as a field list sees it: const when encoding, mutable when
+// decoding.
+template <typename IO, typename M>
+using Msg =
+    std::conditional_t<std::is_same_v<IO, net::WireWriter>, const M, M>;
+
+// The engine's structs keep counters in `long` and ids in `int`; the wire
+// carries them as i64 and i32.
+static_assert(std::is_same_v<long, int64_t> && std::is_same_v<int, int32_t>,
+              "field lists bind long/int fields to i64/i32 directly");
+
+// ---- Blocks nested in messages ----------------------------------------------
+
+template <typename IO>
+void Fields(IO& io, Msg<IO, engine::QueryResult::Segment>& s) {
+  io.I32(s.video_id);
+  io.I32(s.start);
+  io.I32(s.end);
 }
 
-bool DecodeHist(net::WireReader* r, engine::HistogramStats* h) {
-  int64_t count = 0;
-  if (!r->I64(&count) || !r->F64(&h->sum_seconds)) return false;
-  h->count = count;
-  for (size_t i = 0; i < engine::HistogramStats::kNumBuckets; ++i) {
-    int64_t b = 0;
-    if (!r->I64(&b)) return false;
-    h->buckets[i] = b;
-  }
-  return true;
+template <typename IO>
+void Fields(IO& io, Msg<IO, engine::HistogramStats>& h) {
+  io.I64(h.count);
+  io.F64(h.sum_seconds);
+  for (auto& b : h.buckets) io.I64(b);
 }
 
-void EncodeCounters(net::WireWriter* w, const engine::ServingCounters& c) {
-  w->I64(c.queue_depth);
-  w->I64(c.active);
-  w->I64(c.peak_queue_depth);
-  w->I64(c.submitted);
-  w->I64(c.completed);
-  w->I64(c.failed);
-  w->I64(c.cancelled);
-  w->I64(c.rejected);
-  w->I64(c.drains);
-  w->I64(c.planner_runs);
-  w->I64(c.cache_hits);
-  w->I64(c.disk_loads);
-  w->I64(c.degrade_level);
-  w->I64(c.band_degraded);
-  w->F64(c.degraded_band_seconds);
-  w->U32(static_cast<uint32_t>(c.band_plan_hits.size()));
-  for (const auto& [band, hits] : c.band_plan_hits) {
-    w->I64(band);
-    w->I64(hits);
+template <typename IO>
+void Fields(IO& io, Msg<IO, engine::ConfidenceStats>& c) {
+  io.I64(c.count);
+  io.F64(c.sum);
+  for (auto& b : c.buckets) io.I64(b);
+}
+
+template <typename IO>
+void Fields(IO& io, Msg<IO, engine::DatasetStats>& d) {
+  io.Str(d.dataset);
+  io.I64(d.queue_depth);
+  io.I32(d.weight);
+  io.I64(d.submitted);
+  io.I64(d.completed);
+  io.I64(d.failed);
+  io.I64(d.cancelled);
+  io.I64(d.rejected);
+  Fields(io, d.queue_wait);
+  Fields(io, d.exec);
+}
+
+// A u32 count, then each element's field list. No element encodes shorter
+// than a default-constructed one (empty strings and collections), which is
+// the bound a decoded count is checked against before it allocates.
+template <typename T>
+void Seq(net::WireWriter& w, const std::vector<T>& v) {
+  w.U32(static_cast<uint32_t>(v.size()));
+  for (const T& e : v) Fields(w, e);
+}
+
+template <typename T>
+void Seq(net::WireReader& r, std::vector<T>& v) {
+  static const size_t min_bytes = [] {
+    net::WireWriter w;
+    Fields(w, T{});
+    return w.str().size();
+  }();
+  uint32_t n = 0;
+  if (!r.Count(n, min_bytes)) return;
+  v.resize(n);
+  for (T& e : v) Fields(r, e);
+}
+
+// ServingCounters::band_plan_hits: a u32 count, then (i64 band, i64 hits).
+void BandHits(net::WireWriter& w, const std::map<long, long>& hits) {
+  w.U32(static_cast<uint32_t>(hits.size()));
+  for (const auto& [band, n] : hits) {
+    w.I64(band);
+    w.I64(n);
   }
-  w->I64(c.confidence.count);
-  w->F64(c.confidence.sum);
-  for (long b : c.confidence.buckets) w->I64(b);
-  EncodeHist(w, c.queue_wait);
-  EncodeHist(w, c.exec);
+}
+
+void BandHits(net::WireReader& r, std::map<long, long>& hits) {
+  uint32_t n = 0;
+  if (!r.Count(n, 16)) return;
+  hits.clear();
+  for (uint32_t i = 0; i < n; ++i) {
+    int64_t band = 0, count = 0;
+    if (r.I64(band) && r.I64(count)) hits[band] = count;
+  }
+}
+
+// ServingCounters::degrade_level is an int carried as i64.
+void WideInt(net::WireWriter& w, int v) { w.I64(v); }
+
+void WideInt(net::WireReader& r, int& v) {
+  int64_t wide = 0;
+  r.I64(wide);
+  v = static_cast<int>(wide);
+}
+
+template <typename IO>
+void Fields(IO& io, Msg<IO, engine::ServingCounters>& c) {
+  io.I64(c.queue_depth);
+  io.I64(c.active);
+  io.I64(c.peak_queue_depth);
+  io.I64(c.submitted);
+  io.I64(c.completed);
+  io.I64(c.failed);
+  io.I64(c.cancelled);
+  io.I64(c.rejected);
+  io.I64(c.drains);
+  io.I64(c.planner_runs);
+  io.I64(c.cache_hits);
+  io.I64(c.disk_loads);
+  WideInt(io, c.degrade_level);
+  io.I64(c.band_degraded);
+  io.F64(c.degraded_band_seconds);
+  BandHits(io, c.band_plan_hits);
+  Fields(io, c.confidence);
+  Fields(io, c.queue_wait);
+  Fields(io, c.exec);
   // Live-stream counters (appended last; the histograms above anchor the
   // legacy prefix).
-  w->I64(c.appends);
-  w->I64(c.appended_frames);
-  w->I64(c.subscribes);
-  w->I64(c.unsubscribes);
-  w->I64(c.stream_results);
-  w->I64(c.stream_dropped);
-  w->I64(c.feature_hits);
-  w->I64(c.feature_misses);
-  w->I64(c.feature_evictions);
+  io.I64(c.appends);
+  io.I64(c.appended_frames);
+  io.I64(c.subscribes);
+  io.I64(c.unsubscribes);
+  io.I64(c.stream_results);
+  io.I64(c.stream_dropped);
+  io.I64(c.feature_hits);
+  io.I64(c.feature_misses);
+  io.I64(c.feature_evictions);
 }
 
-bool DecodeCounters(net::WireReader* r, engine::ServingCounters* c) {
-  int64_t v[14];
-  for (auto& x : v) {
-    if (!r->I64(&x)) return false;
-  }
-  c->queue_depth = v[0];
-  c->active = v[1];
-  c->peak_queue_depth = v[2];
-  c->submitted = v[3];
-  c->completed = v[4];
-  c->failed = v[5];
-  c->cancelled = v[6];
-  c->rejected = v[7];
-  c->drains = v[8];
-  c->planner_runs = v[9];
-  c->cache_hits = v[10];
-  c->disk_loads = v[11];
-  c->degrade_level = static_cast<int>(v[12]);
-  c->band_degraded = v[13];
-  if (!r->F64(&c->degraded_band_seconds)) return false;
-  uint32_t bands = 0;
-  if (!r->U32(&bands)) return false;
-  // Each entry is 16 bytes — reject a lying header before allocating.
-  if (bands > r->remaining() / 16) return false;
-  c->band_plan_hits.clear();
-  for (uint32_t i = 0; i < bands; ++i) {
-    int64_t band = 0, hits = 0;
-    if (!r->I64(&band) || !r->I64(&hits)) return false;
-    c->band_plan_hits[band] = hits;
-  }
-  int64_t conf_count = 0;
-  if (!r->I64(&conf_count) || !r->F64(&c->confidence.sum)) return false;
-  c->confidence.count = conf_count;
-  for (size_t i = 0; i < engine::ConfidenceStats::kNumBuckets; ++i) {
-    int64_t b = 0;
-    if (!r->I64(&b)) return false;
-    c->confidence.buckets[i] = b;
-  }
-  if (!DecodeHist(r, &c->queue_wait) || !DecodeHist(r, &c->exec)) return false;
-  int64_t s[9];
-  for (auto& x : s) {
-    if (!r->I64(&x)) return false;
-  }
-  c->appends = s[0];
-  c->appended_frames = s[1];
-  c->subscribes = s[2];
-  c->unsubscribes = s[3];
-  c->stream_results = s[4];
-  c->stream_dropped = s[5];
-  c->feature_hits = s[6];
-  c->feature_misses = s[7];
-  c->feature_evictions = s[8];
+// kStreamResult carries a whole QueryResult encoding as a str.
+void Nested(net::WireWriter& w, const engine::QueryResult& q) {
+  w.Str(EncodeQueryResult(q));
+}
+
+void Nested(net::WireReader& r, engine::QueryResult& q) {
+  std::string bytes;
+  if (r.Str(bytes) && !DecodeQueryResult(bytes, &q)) r.Fail();
+}
+
+// ---- Messages ----------------------------------------------------------------
+
+template <typename IO>
+void Fields(IO& io, Msg<IO, DatasetSpec>& m) {
+  io.Str(m.name);
+  io.Enum(m.family, video::DatasetFamily::kKittiLike);
+  io.U64(m.seed);
+  io.U32(m.num_videos);
+  io.U32(m.frames_per_video);
+  io.U32(m.native_resolution);
+  io.Bool(m.warm_plans);
+  io.U64(m.epoch);
+}
+
+template <typename IO>
+void Fields(IO& io, Msg<IO, ExecRequest>& m) {
+  io.Str(m.dataset);
+  io.Str(m.sql);
+  io.I32(m.priority);
+  io.Enum(m.tier, core::QueryTier::kBestEffort);
+  io.F64(m.min_accuracy);
+  io.F64(m.max_latency_budget);
+}
+
+template <typename IO>
+void Fields(IO& io, Msg<IO, engine::QueryResult>& m) {
+  Seq(io, m.segments);
+  io.I64(m.metrics.tp);
+  io.I64(m.metrics.fp);
+  io.I64(m.metrics.fn);
+  io.I64(m.metrics.tn);
+  io.F64(m.metrics.precision);
+  io.F64(m.metrics.recall);
+  io.F64(m.metrics.f1);
+  io.F64(m.throughput_fps);
+  io.F64(m.gpu_seconds);
+  io.F64(m.wall_seconds);
+  io.F64(m.plan_seconds);
+  io.Str(m.executor);
+  io.Str(m.explanation);
+  io.Enum(m.consistency, engine::Consistency::kDegraded);
+  io.Str(m.divergence);
+  io.U64(m.epoch);
+  io.F64(m.achieved_confidence);
+  io.F64(m.accuracy_band);
+  io.Enum(m.tier, core::QueryTier::kBestEffort);
+  io.Bool(m.budget_exhausted);
+  io.I64(m.window_begin);
+  io.I64(m.window_end);
+  io.U64(m.frame_epoch);
+}
+
+template <typename IO>
+void Fields(IO& io, Msg<IO, SyncPlansRequest>& m) {
+  io.Str(m.name);
+  io.U64(m.epoch);
+}
+
+template <typename IO>
+void Fields(IO& io, Msg<IO, SyncReply>& m) {
+  io.U64(m.plans_warmed);
+  io.U64(m.epoch);
+}
+
+template <typename IO>
+void Fields(IO& io, Msg<IO, EpochReply>& m) {
+  io.U64(m.epoch);
+  io.Bool(m.has_dataset);
+  io.U64(m.stream_length);
+}
+
+template <typename IO>
+void Fields(IO& io, Msg<IO, AppendFramesRequest>& m) {
+  io.Str(m.name);
+  io.U64(m.target_frames);
+  io.U64(m.relative_frames);
+  io.U64(m.epoch);
+}
+
+template <typename IO>
+void Fields(IO& io, Msg<IO, AppendReply>& m) {
+  io.U64(m.frame_epoch);
+  io.U64(m.stream_length);
+  io.U64(m.appended);
+}
+
+template <typename IO>
+void Fields(IO& io, Msg<IO, SubscribeRequest>& m) {
+  io.Str(m.dataset);
+  io.Str(m.sql);
+  io.U64(m.sub_id);
+  io.I64(m.window_frames);
+  io.U32(m.max_buffered);
+  io.Enum(m.tier, core::QueryTier::kBestEffort);
+  io.F64(m.min_accuracy);
+  io.F64(m.max_latency_budget);
+}
+
+template <typename IO>
+void Fields(IO& io, Msg<IO, SubscribeReply>& m) {
+  io.U64(m.sub_id);
+  io.U64(m.frame_epoch);
+  io.Bool(m.attached_existing);
+}
+
+template <typename IO>
+void Fields(IO& io, Msg<IO, StreamPollRequest>& m) {
+  io.U64(m.sub_id);
+  io.U64(m.after_seq);
+  io.U32(m.timeout_ms);
+}
+
+template <typename IO>
+void Fields(IO& io, Msg<IO, StreamResultMsg>& m) {
+  io.U64(m.seq);
+  io.U64(m.dropped);
+  Nested(io, m.result);
+}
+
+template <typename IO>
+void Fields(IO& io, Msg<IO, StatsReply>& m) {
+  io.I32(m.stats.shard);
+  Fields(io, m.stats);  // the ServingCounters block
+  Seq(io, m.stats.datasets);
+  io.I32(m.num_shards);
+  io.I64(m.failovers);
+  io.I64(m.rehomed_datasets);
+  io.I64(m.dead_shards);
+  io.I32(m.replication);
+  io.I64(m.replicas_behind);
+  io.I64(m.read_failovers);
+  io.I64(m.certain_answers);
+  io.I64(m.degraded_answers);
+  io.I64(m.plan_resyncs);
+}
+
+template <typename IO>
+void Fields(IO& io, Msg<IO, TicketStateReply>& m) {
+  io.Enum(m.state, engine::QueryState::kCancelled);
+  io.F64(m.progress);
+}
+
+// Bare u64 payloads: ticket and subscription ids, plans warmed.
+template <typename IO>
+void Fields(IO& io, Msg<IO, uint64_t>& v) {
+  io.U64(v);
+}
+
+// A bare dataset name.
+template <typename IO>
+void Fields(IO& io, Msg<IO, std::string>& v) {
+  io.Str(v);
+}
+
+// The kError payload.
+struct ErrorPayload {
+  common::StatusCode code = common::StatusCode::kOk;
+  std::string message;
+};
+
+template <typename IO>
+void Fields(IO& io, Msg<IO, ErrorPayload>& m) {
+  io.Enum(m.code, common::StatusCode::kUnavailable);
+  io.Str(m.message);
+}
+
+// ---- Semantic checks ---------------------------------------------------------
+
+template <typename M>
+bool Valid(const M&) {
   return true;
+}
+
+bool Valid(const std::string& name) { return !name.empty(); }
+
+bool Valid(const DatasetSpec& m) { return !m.name.empty(); }
+
+bool Valid(const ExecRequest& m) { return !m.dataset.empty(); }
+
+bool Valid(const engine::QueryResult& m) {
+  // kCertain carries no divergence reason by contract. The covered range
+  // is a well-formed, non-negative interval or absent (both zero): a
+  // stream consumer dedupes on it, so garbage here is a reject.
+  return (m.consistency != engine::Consistency::kCertain ||
+          m.divergence.empty()) &&
+         m.window_begin >= 0 && m.window_end >= m.window_begin;
+}
+
+bool Valid(const SyncPlansRequest& m) { return !m.name.empty(); }
+
+bool Valid(const AppendFramesRequest& m) {
+  // Exactly one of the two forms: absolute (target, epoch) or relative.
+  return !m.name.empty() && (m.target_frames == 0) != (m.relative_frames == 0);
+}
+
+bool Valid(const AppendReply& m) { return m.appended <= m.stream_length; }
+
+bool Valid(const SubscribeRequest& m) {
+  // sub_id 0 is valid on the wire: a client subscribing THROUGH the router
+  // sends 0 to let the router assign the id. The shard side rejects 0 in
+  // its handler (its ids are always the caller's — that is what makes
+  // re-attach idempotent).
+  return !m.dataset.empty() && !m.sql.empty() && m.window_frames >= 0;
+}
+
+bool Valid(const SubscribeReply& m) { return m.sub_id != 0; }
+
+bool Valid(const StreamPollRequest& m) { return m.sub_id != 0; }
+
+bool Valid(const StreamResultMsg& m) { return m.seq != 0; }
+
+// ---- Both directions -----------------------------------------------------------
+
+template <typename M>
+std::string Encode(const M& m) {
+  net::WireWriter w;
+  Fields(w, m);
+  return w.Take();
+}
+
+// Every byte must be consumed: trailing junk rejects the payload.
+template <typename M>
+bool Decode(const std::string& payload, M* out) {
+  net::WireReader r(payload);
+  Fields(r, *out);
+  return r.AtEnd() && Valid(*out);
 }
 
 }  // namespace
@@ -141,428 +400,97 @@ video::DatasetProfile ProfileFor(const DatasetSpec& spec) {
   return profile;
 }
 
-std::string EncodeDatasetSpec(const DatasetSpec& spec) {
-  net::WireWriter w;
-  w.Str(spec.name);
-  w.U8(static_cast<uint8_t>(spec.family));
-  w.U64(spec.seed);
-  w.U32(spec.num_videos);
-  w.U32(spec.frames_per_video);
-  w.U32(spec.native_resolution);
-  w.U8(spec.warm_plans ? 1 : 0);
-  w.U64(spec.epoch);
-  return w.Take();
+std::string EncodeDatasetSpec(const DatasetSpec& m) { return Encode(m); }
+bool DecodeDatasetSpec(const std::string& p, DatasetSpec* out) {
+  return Decode(p, out);
 }
 
-bool DecodeDatasetSpec(const std::string& payload, DatasetSpec* out) {
-  net::WireReader r(payload);
-  uint8_t family = 0, warm = 0;
-  if (!r.Str(&out->name) || !r.U8(&family) || !r.U64(&out->seed) ||
-      !r.U32(&out->num_videos) || !r.U32(&out->frames_per_video) ||
-      !r.U32(&out->native_resolution) || !r.U8(&warm) ||
-      !r.U64(&out->epoch)) {
-    return false;
-  }
-  if (out->name.empty() || family > kMaxFamily) return false;
-  out->family = static_cast<video::DatasetFamily>(family);
-  out->warm_plans = warm != 0;
-  return r.AtEnd();
+std::string EncodeExecRequest(const ExecRequest& m) { return Encode(m); }
+bool DecodeExecRequest(const std::string& p, ExecRequest* out) {
+  return Decode(p, out);
 }
 
-std::string EncodeExecRequest(const ExecRequest& req) {
-  net::WireWriter w;
-  w.Str(req.dataset);
-  w.Str(req.sql);
-  w.I32(req.priority);
-  w.U8(static_cast<uint8_t>(req.tier));
-  w.F64(req.min_accuracy);
-  w.F64(req.max_latency_budget);
-  return w.Take();
+std::string EncodeQueryResult(const engine::QueryResult& m) {
+  return Encode(m);
+}
+bool DecodeQueryResult(const std::string& p, engine::QueryResult* out) {
+  return Decode(p, out);
 }
 
-bool DecodeExecRequest(const std::string& payload, ExecRequest* out) {
-  net::WireReader r(payload);
-  uint8_t tier = 0;
-  if (!r.Str(&out->dataset) || !r.Str(&out->sql) || !r.I32(&out->priority) ||
-      !r.U8(&tier) || !r.F64(&out->min_accuracy) ||
-      !r.F64(&out->max_latency_budget)) {
-    return false;
-  }
-  if (tier > kMaxTier) return false;
-  out->tier = static_cast<core::QueryTier>(tier);
-  return !out->dataset.empty() && r.AtEnd();
+std::string EncodeSyncPlans(const SyncPlansRequest& m) { return Encode(m); }
+bool DecodeSyncPlans(const std::string& p, SyncPlansRequest* out) {
+  return Decode(p, out);
 }
 
-std::string EncodeQueryResult(const engine::QueryResult& result) {
-  net::WireWriter w;
-  w.U32(static_cast<uint32_t>(result.segments.size()));
-  for (const auto& seg : result.segments) {
-    w.I32(seg.video_id);
-    w.I32(seg.start);
-    w.I32(seg.end);
-  }
-  w.I64(result.metrics.tp);
-  w.I64(result.metrics.fp);
-  w.I64(result.metrics.fn);
-  w.I64(result.metrics.tn);
-  w.F64(result.metrics.precision);
-  w.F64(result.metrics.recall);
-  w.F64(result.metrics.f1);
-  w.F64(result.throughput_fps);
-  w.F64(result.gpu_seconds);
-  w.F64(result.wall_seconds);
-  w.F64(result.plan_seconds);
-  w.Str(result.executor);
-  w.Str(result.explanation);
-  w.U8(static_cast<uint8_t>(result.consistency));
-  w.Str(result.divergence);
-  w.U64(result.epoch);
-  w.F64(result.achieved_confidence);
-  w.F64(result.accuracy_band);
-  w.U8(static_cast<uint8_t>(result.tier));
-  w.U8(result.budget_exhausted ? 1 : 0);
-  w.I64(result.window_begin);
-  w.I64(result.window_end);
-  w.U64(result.frame_epoch);
-  return w.Take();
+std::string EncodeSyncReply(const SyncReply& m) { return Encode(m); }
+bool DecodeSyncReply(const std::string& p, SyncReply* out) {
+  return Decode(p, out);
 }
 
-bool DecodeQueryResult(const std::string& payload, engine::QueryResult* out) {
-  net::WireReader r(payload);
-  uint32_t n = 0;
-  if (!r.U32(&n)) return false;
-  // Segment count is bounded by the remaining bytes (12 per segment) —
-  // reject before allocating on a lying header.
-  if (n > payload.size() / 12) return false;
-  out->segments.resize(n);
-  for (auto& seg : out->segments) {
-    if (!r.I32(&seg.video_id) || !r.I32(&seg.start) || !r.I32(&seg.end)) {
-      return false;
-    }
-  }
-  if (!r.I64(&out->metrics.tp) || !r.I64(&out->metrics.fp) ||
-      !r.I64(&out->metrics.fn) || !r.I64(&out->metrics.tn) ||
-      !r.F64(&out->metrics.precision) || !r.F64(&out->metrics.recall) ||
-      !r.F64(&out->metrics.f1) || !r.F64(&out->throughput_fps) ||
-      !r.F64(&out->gpu_seconds) || !r.F64(&out->wall_seconds) ||
-      !r.F64(&out->plan_seconds) || !r.Str(&out->executor) ||
-      !r.Str(&out->explanation)) {
-    return false;
-  }
-  uint8_t consistency = 0;
-  if (!r.U8(&consistency) || !r.Str(&out->divergence) || !r.U64(&out->epoch)) {
-    return false;
-  }
-  if (consistency > kMaxConsistency) return false;
-  out->consistency = static_cast<engine::Consistency>(consistency);
-  // kCertain carries no divergence reason by contract.
-  if (out->consistency == engine::Consistency::kCertain &&
-      !out->divergence.empty()) {
-    return false;
-  }
-  uint8_t tier = 0, budget_exhausted = 0;
-  if (!r.F64(&out->achieved_confidence) || !r.F64(&out->accuracy_band) ||
-      !r.U8(&tier) || !r.U8(&budget_exhausted)) {
-    return false;
-  }
-  if (tier > kMaxTier || budget_exhausted > 1) return false;
-  out->tier = static_cast<core::QueryTier>(tier);
-  out->budget_exhausted = budget_exhausted != 0;
-  int64_t window_begin = 0, window_end = 0;
-  if (!r.I64(&window_begin) || !r.I64(&window_end) ||
-      !r.U64(&out->frame_epoch)) {
-    return false;
-  }
-  // The covered range is a well-formed, non-negative interval or absent
-  // (both zero) — a stream consumer dedupes on it, so garbage here is a
-  // reject, not a shrug.
-  if (window_begin < 0 || window_end < window_begin) return false;
-  out->window_begin = window_begin;
-  out->window_end = window_end;
-  return r.AtEnd();
+std::string EncodeEpochReply(const EpochReply& m) { return Encode(m); }
+bool DecodeEpochReply(const std::string& p, EpochReply* out) {
+  return Decode(p, out);
 }
 
-std::string EncodeSyncPlans(const SyncPlansRequest& req) {
-  net::WireWriter w;
-  w.Str(req.name);
-  w.U64(req.epoch);
-  return w.Take();
+std::string EncodeAppendFrames(const AppendFramesRequest& m) {
+  return Encode(m);
+}
+bool DecodeAppendFrames(const std::string& p, AppendFramesRequest* out) {
+  return Decode(p, out);
 }
 
-bool DecodeSyncPlans(const std::string& payload, SyncPlansRequest* out) {
-  net::WireReader r(payload);
-  return r.Str(&out->name) && !out->name.empty() && r.U64(&out->epoch) &&
-         r.AtEnd();
+std::string EncodeAppendReply(const AppendReply& m) { return Encode(m); }
+bool DecodeAppendReply(const std::string& p, AppendReply* out) {
+  return Decode(p, out);
 }
 
-std::string EncodeSyncReply(const SyncReply& reply) {
-  net::WireWriter w;
-  w.U64(reply.plans_warmed);
-  w.U64(reply.epoch);
-  return w.Take();
+std::string EncodeSubscribeRequest(const SubscribeRequest& m) {
+  return Encode(m);
+}
+bool DecodeSubscribeRequest(const std::string& p, SubscribeRequest* out) {
+  return Decode(p, out);
 }
 
-bool DecodeSyncReply(const std::string& payload, SyncReply* out) {
-  net::WireReader r(payload);
-  return r.U64(&out->plans_warmed) && r.U64(&out->epoch) && r.AtEnd();
+std::string EncodeSubscribeReply(const SubscribeReply& m) { return Encode(m); }
+bool DecodeSubscribeReply(const std::string& p, SubscribeReply* out) {
+  return Decode(p, out);
 }
 
-std::string EncodeEpochReply(const EpochReply& reply) {
-  net::WireWriter w;
-  w.U64(reply.epoch);
-  w.U8(reply.has_dataset ? 1 : 0);
-  w.U64(reply.stream_length);
-  return w.Take();
+std::string EncodeStreamPoll(const StreamPollRequest& m) { return Encode(m); }
+bool DecodeStreamPoll(const std::string& p, StreamPollRequest* out) {
+  return Decode(p, out);
 }
 
-bool DecodeEpochReply(const std::string& payload, EpochReply* out) {
-  net::WireReader r(payload);
-  uint8_t has = 0;
-  if (!r.U64(&out->epoch) || !r.U8(&has) || !r.U64(&out->stream_length)) {
-    return false;
-  }
-  if (has > 1) return false;
-  out->has_dataset = has != 0;
-  return r.AtEnd();
+std::string EncodeStreamResult(const StreamResultMsg& m) { return Encode(m); }
+bool DecodeStreamResult(const std::string& p, StreamResultMsg* out) {
+  return Decode(p, out);
 }
 
-// ---- Live streams ----------------------------------------------------------
-
-std::string EncodeAppendFrames(const AppendFramesRequest& req) {
-  net::WireWriter w;
-  w.Str(req.name);
-  w.U64(req.target_frames);
-  w.U64(req.relative_frames);
-  w.U64(req.epoch);
-  return w.Take();
+std::string EncodeStatsReply(const StatsReply& m) { return Encode(m); }
+bool DecodeStatsReply(const std::string& p, StatsReply* out) {
+  return Decode(p, out);
 }
 
-bool DecodeAppendFrames(const std::string& payload, AppendFramesRequest* out) {
-  net::WireReader r(payload);
-  if (!r.Str(&out->name) || !r.U64(&out->target_frames) ||
-      !r.U64(&out->relative_frames) || !r.U64(&out->epoch)) {
-    return false;
-  }
-  // Exactly one of the two forms: absolute (target, epoch) or relative.
-  if (out->name.empty()) return false;
-  if (out->target_frames == 0 && out->relative_frames == 0) return false;
-  if (out->target_frames != 0 && out->relative_frames != 0) return false;
-  return r.AtEnd();
+std::string EncodeTicketId(uint64_t id) { return Encode(id); }
+bool DecodeTicketId(const std::string& p, uint64_t* id) {
+  return Decode(p, id);
 }
 
-std::string EncodeAppendReply(const AppendReply& reply) {
-  net::WireWriter w;
-  w.U64(reply.frame_epoch);
-  w.U64(reply.stream_length);
-  w.U64(reply.appended);
-  return w.Take();
-}
-
-bool DecodeAppendReply(const std::string& payload, AppendReply* out) {
-  net::WireReader r(payload);
-  return r.U64(&out->frame_epoch) && r.U64(&out->stream_length) &&
-         r.U64(&out->appended) && out->appended <= out->stream_length &&
-         r.AtEnd();
-}
-
-std::string EncodeSubscribeRequest(const SubscribeRequest& req) {
-  net::WireWriter w;
-  w.Str(req.dataset);
-  w.Str(req.sql);
-  w.U64(req.sub_id);
-  w.I64(req.window_frames);
-  w.U32(req.max_buffered);
-  w.U8(static_cast<uint8_t>(req.tier));
-  w.F64(req.min_accuracy);
-  w.F64(req.max_latency_budget);
-  return w.Take();
-}
-
-bool DecodeSubscribeRequest(const std::string& payload,
-                            SubscribeRequest* out) {
-  net::WireReader r(payload);
-  uint8_t tier = 0;
-  if (!r.Str(&out->dataset) || !r.Str(&out->sql) || !r.U64(&out->sub_id) ||
-      !r.I64(&out->window_frames) || !r.U32(&out->max_buffered) ||
-      !r.U8(&tier) || !r.F64(&out->min_accuracy) ||
-      !r.F64(&out->max_latency_budget)) {
-    return false;
-  }
-  // sub_id 0 is valid on the wire: a client subscribing THROUGH the router
-  // sends 0 to let the router assign the id. The shard side rejects 0 in
-  // its handler (its ids are always the caller's — that is what makes
-  // re-attach idempotent).
-  if (out->dataset.empty() || out->sql.empty() || out->window_frames < 0 ||
-      tier > kMaxTier) {
-    return false;
-  }
-  out->tier = static_cast<core::QueryTier>(tier);
-  return r.AtEnd();
-}
-
-std::string EncodeSubscribeReply(const SubscribeReply& reply) {
-  net::WireWriter w;
-  w.U64(reply.sub_id);
-  w.U64(reply.frame_epoch);
-  w.U8(reply.attached_existing ? 1 : 0);
-  return w.Take();
-}
-
-bool DecodeSubscribeReply(const std::string& payload, SubscribeReply* out) {
-  net::WireReader r(payload);
-  uint8_t attached = 0;
-  if (!r.U64(&out->sub_id) || !r.U64(&out->frame_epoch) || !r.U8(&attached)) {
-    return false;
-  }
-  if (out->sub_id == 0 || attached > 1) return false;
-  out->attached_existing = attached != 0;
-  return r.AtEnd();
-}
-
-std::string EncodeStreamPoll(const StreamPollRequest& req) {
-  net::WireWriter w;
-  w.U64(req.sub_id);
-  w.U64(req.after_seq);
-  w.U32(req.timeout_ms);
-  return w.Take();
-}
-
-bool DecodeStreamPoll(const std::string& payload, StreamPollRequest* out) {
-  net::WireReader r(payload);
-  return r.U64(&out->sub_id) && out->sub_id != 0 && r.U64(&out->after_seq) &&
-         r.U32(&out->timeout_ms) && r.AtEnd();
-}
-
-std::string EncodeStreamResult(const StreamResultMsg& msg) {
-  net::WireWriter w;
-  w.U64(msg.seq);
-  w.U64(msg.dropped);
-  w.Str(EncodeQueryResult(msg.result));
-  return w.Take();
-}
-
-bool DecodeStreamResult(const std::string& payload, StreamResultMsg* out) {
-  net::WireReader r(payload);
-  std::string result;
-  if (!r.U64(&out->seq) || out->seq == 0 || !r.U64(&out->dropped) ||
-      !r.Str(&result) || !r.AtEnd()) {
-    return false;
-  }
-  return DecodeQueryResult(result, &out->result);
-}
-
-std::string EncodeStatsReply(const StatsReply& reply) {
-  net::WireWriter w;
-  w.I32(reply.stats.shard);
-  EncodeCounters(&w, reply.stats);
-  w.U32(static_cast<uint32_t>(reply.stats.datasets.size()));
-  for (const auto& ds : reply.stats.datasets) {
-    w.Str(ds.dataset);
-    w.I64(ds.queue_depth);
-    w.I32(ds.weight);
-    w.I64(ds.submitted);
-    w.I64(ds.completed);
-    w.I64(ds.failed);
-    w.I64(ds.cancelled);
-    w.I64(ds.rejected);
-    EncodeHist(&w, ds.queue_wait);
-    EncodeHist(&w, ds.exec);
-  }
-  w.I32(reply.num_shards);
-  w.I64(reply.failovers);
-  w.I64(reply.rehomed_datasets);
-  w.I64(reply.dead_shards);
-  w.I32(reply.replication);
-  w.I64(reply.replicas_behind);
-  w.I64(reply.read_failovers);
-  w.I64(reply.certain_answers);
-  w.I64(reply.degraded_answers);
-  w.I64(reply.plan_resyncs);
-  return w.Take();
-}
-
-bool DecodeStatsReply(const std::string& payload, StatsReply* out) {
-  net::WireReader r(payload);
-  if (!r.I32(&out->stats.shard)) return false;
-  if (!DecodeCounters(&r, &out->stats)) return false;
-  uint32_t n = 0;
-  if (!r.U32(&n)) return false;
-  if (n > payload.size() / 8) return false;  // each row is far larger
-  out->stats.datasets.resize(n);
-  for (auto& ds : out->stats.datasets) {
-    int64_t qd = 0, sub = 0, comp = 0, fail = 0, canc = 0, rej = 0;
-    if (!r.Str(&ds.dataset) || !r.I64(&qd) || !r.I32(&ds.weight) ||
-        !r.I64(&sub) || !r.I64(&comp) || !r.I64(&fail) || !r.I64(&canc) ||
-        !r.I64(&rej) || !DecodeHist(&r, &ds.queue_wait) ||
-        !DecodeHist(&r, &ds.exec)) {
-      return false;
-    }
-    ds.queue_depth = qd;
-    ds.submitted = sub;
-    ds.completed = comp;
-    ds.failed = fail;
-    ds.cancelled = canc;
-    ds.rejected = rej;
-  }
-  if (!r.I32(&out->num_shards) || !r.I64(&out->failovers) ||
-      !r.I64(&out->rehomed_datasets) || !r.I64(&out->dead_shards)) {
-    return false;
-  }
-  if (!r.I32(&out->replication) || !r.I64(&out->replicas_behind) ||
-      !r.I64(&out->read_failovers) || !r.I64(&out->certain_answers) ||
-      !r.I64(&out->degraded_answers) || !r.I64(&out->plan_resyncs)) {
-    return false;
-  }
-  return r.AtEnd();
-}
-
-std::string EncodeTicketId(uint64_t id) {
-  net::WireWriter w;
-  w.U64(id);
-  return w.Take();
-}
-
-bool DecodeTicketId(const std::string& payload, uint64_t* id) {
-  net::WireReader r(payload);
-  return r.U64(id) && r.AtEnd();
-}
-
-std::string EncodeTicketState(const TicketStateReply& reply) {
-  net::WireWriter w;
-  w.U8(static_cast<uint8_t>(reply.state));
-  w.F64(reply.progress);
-  return w.Take();
-}
-
-bool DecodeTicketState(const std::string& payload, TicketStateReply* out) {
-  net::WireReader r(payload);
-  uint8_t state = 0;
-  if (!r.U8(&state) || !r.F64(&out->progress)) return false;
-  if (state > kMaxQueryState) return false;
-  out->state = static_cast<engine::QueryState>(state);
-  return r.AtEnd();
+std::string EncodeTicketState(const TicketStateReply& m) { return Encode(m); }
+bool DecodeTicketState(const std::string& p, TicketStateReply* out) {
+  return Decode(p, out);
 }
 
 std::string EncodeRegisterReply(uint64_t plans_warmed) {
-  net::WireWriter w;
-  w.U64(plans_warmed);
-  return w.Take();
+  return Encode(plans_warmed);
+}
+bool DecodeRegisterReply(const std::string& p, uint64_t* plans_warmed) {
+  return Decode(p, plans_warmed);
 }
 
-bool DecodeRegisterReply(const std::string& payload, uint64_t* plans_warmed) {
-  net::WireReader r(payload);
-  return r.U64(plans_warmed) && r.AtEnd();
-}
-
-std::string EncodeName(const std::string& name) {
-  net::WireWriter w;
-  w.Str(name);
-  return w.Take();
-}
-
-bool DecodeName(const std::string& payload, std::string* name) {
-  net::WireReader r(payload);
-  return r.Str(name) && !name->empty() && r.AtEnd();
+std::string EncodeName(const std::string& name) { return Encode(name); }
+bool DecodeName(const std::string& p, std::string* name) {
+  return Decode(p, name);
 }
 
 net::Frame Reply(uint64_t request_id, net::FrameType type,
@@ -579,21 +507,20 @@ net::Frame OkFrame(uint64_t request_id) {
 }
 
 net::Frame MakeErrorFrame(uint64_t request_id, const common::Status& status) {
-  net::WireWriter w;
-  w.U8(static_cast<uint8_t>(status.code()));
-  w.Str(status.message());
-  return Reply(request_id, net::FrameType::kError, w.Take());
+  return Reply(request_id, net::FrameType::kError,
+               Encode(ErrorPayload{status.code(), status.message()}));
 }
 
 common::Status DecodeErrorFrame(const net::Frame& frame) {
+  // Unlike the other payloads, trailing bytes after the message are
+  // tolerated; a kOk code is not (an error frame always carries an error).
   net::WireReader r(frame.payload);
-  uint8_t code = 0;
-  std::string message;
-  if (!r.U8(&code) || !r.Str(&message) || code > kMaxStatusCode || code == 0) {
+  ErrorPayload e;
+  Fields(r, e);
+  if (!r.ok() || e.code == common::StatusCode::kOk) {
     return common::Status::Unavailable("malformed error frame");
   }
-  return common::Status(static_cast<common::StatusCode>(code),
-                        std::move(message));
+  return common::Status(e.code, std::move(e.message));
 }
 
 net::Frame BadPayload(const net::Frame& req) {

@@ -161,6 +161,21 @@ common::Result<net::Frame> RemoteShard::Call(net::FrameType type,
   return last;
 }
 
+template <typename T>
+common::Result<T> RemoteShard::CallDecoded(
+    net::FrameType type, std::string payload, net::FrameType expect,
+    int deadline_ms, bool (*decode)(const std::string&, T*)) {
+  auto resp = Call(type, std::move(payload), expect, deadline_ms);
+  if (!resp.ok()) return resp.status();
+  T out{};
+  if (!decode(resp.value().payload, &out)) {
+    return common::Status::Unavailable(std::string("malformed ") +
+                                       net::FrameTypeName(expect) +
+                                       " payload from " + opts_.name);
+  }
+  return out;
+}
+
 common::Status RemoteShard::Ping(int deadline_ms) {
   auto resp = Call(net::FrameType::kPing, {}, net::FrameType::kPong,
                    Deadline(deadline_ms));
@@ -169,26 +184,18 @@ common::Status RemoteShard::Ping(int deadline_ms) {
 
 common::Result<engine::QueryResult> RemoteShard::Execute(
     const ExecRequest& req, int deadline_ms) {
-  auto resp = Call(net::FrameType::kExecute, EncodeExecRequest(req),
-                   net::FrameType::kResult, Deadline(deadline_ms));
-  if (!resp.ok()) return resp.status();
-  engine::QueryResult result;
-  if (!DecodeQueryResult(resp.value().payload, &result)) {
-    return common::Status::Unavailable("malformed result payload");
-  }
-  return result;
+  return CallDecoded(net::FrameType::kExecute, EncodeExecRequest(req),
+                     net::FrameType::kResult, Deadline(deadline_ms),
+                     DecodeQueryResult);
 }
 
 common::Result<RemoteTicket> RemoteShard::Submit(const ExecRequest& req,
                                                  int deadline_ms) {
-  auto resp = Call(net::FrameType::kSubmit, EncodeExecRequest(req),
-                   net::FrameType::kSubmitReply, Deadline(deadline_ms));
-  if (!resp.ok()) return resp.status();
-  uint64_t id = 0;
-  if (!DecodeTicketId(resp.value().payload, &id)) {
-    return common::Status::Unavailable("malformed submit reply");
-  }
-  return RemoteTicket(this, id);
+  auto id = CallDecoded(net::FrameType::kSubmit, EncodeExecRequest(req),
+                        net::FrameType::kSubmitReply, Deadline(deadline_ms),
+                        DecodeTicketId);
+  if (!id.ok()) return id.status();
+  return RemoteTicket(this, id.value());
 }
 
 common::Status RemoteShard::Cancel(uint64_t ticket_id, int deadline_ms) {
@@ -199,75 +206,44 @@ common::Status RemoteShard::Cancel(uint64_t ticket_id, int deadline_ms) {
 
 common::Result<TicketStateReply> RemoteShard::TicketState(uint64_t ticket_id,
                                                           int deadline_ms) {
-  auto resp = Call(net::FrameType::kTicketState, EncodeTicketId(ticket_id),
-                   net::FrameType::kTicketStateReply, Deadline(deadline_ms));
-  if (!resp.ok()) return resp.status();
-  TicketStateReply reply;
-  if (!DecodeTicketState(resp.value().payload, &reply)) {
-    return common::Status::Unavailable("malformed ticket state");
-  }
-  return reply;
+  return CallDecoded(net::FrameType::kTicketState, EncodeTicketId(ticket_id),
+                     net::FrameType::kTicketStateReply, Deadline(deadline_ms),
+                     DecodeTicketState);
 }
 
 common::Result<engine::QueryResult> RemoteShard::TicketWait(
     uint64_t ticket_id, int deadline_ms) {
-  auto resp = Call(net::FrameType::kTicketWait, EncodeTicketId(ticket_id),
-                   net::FrameType::kResult, Deadline(deadline_ms));
-  if (!resp.ok()) return resp.status();
-  engine::QueryResult result;
-  if (!DecodeQueryResult(resp.value().payload, &result)) {
-    return common::Status::Unavailable("malformed result payload");
-  }
-  return result;
+  return CallDecoded(net::FrameType::kTicketWait, EncodeTicketId(ticket_id),
+                     net::FrameType::kResult, Deadline(deadline_ms),
+                     DecodeQueryResult);
 }
 
 common::Result<StatsReply> RemoteShard::Stats(int deadline_ms) {
-  auto resp = Call(net::FrameType::kStats, {}, net::FrameType::kStatsReply,
-                   Deadline(deadline_ms));
-  if (!resp.ok()) return resp.status();
-  StatsReply reply;
-  if (!DecodeStatsReply(resp.value().payload, &reply)) {
-    return common::Status::Unavailable("malformed stats reply");
-  }
-  return reply;
+  return CallDecoded(net::FrameType::kStats, {}, net::FrameType::kStatsReply,
+                     Deadline(deadline_ms), DecodeStatsReply);
 }
 
 common::Result<uint64_t> RemoteShard::RegisterDataset(const DatasetSpec& spec,
                                                       int deadline_ms) {
-  auto resp = Call(net::FrameType::kRegisterDataset, EncodeDatasetSpec(spec),
-                   net::FrameType::kRegisterReply, Deadline(deadline_ms));
-  if (!resp.ok()) return resp.status();
-  uint64_t warmed = 0;
-  if (!DecodeRegisterReply(resp.value().payload, &warmed)) {
-    return common::Status::Unavailable("malformed register reply");
-  }
-  return warmed;
+  return CallDecoded(net::FrameType::kRegisterDataset, EncodeDatasetSpec(spec),
+                     net::FrameType::kRegisterReply, Deadline(deadline_ms),
+                     DecodeRegisterReply);
 }
 
 common::Result<SyncReply> RemoteShard::SyncPlans(const std::string& name,
                                                  uint64_t epoch,
                                                  int deadline_ms) {
-  SyncPlansRequest req{name, epoch};
-  auto resp = Call(net::FrameType::kSyncPlans, EncodeSyncPlans(req),
-                   net::FrameType::kSyncReply, Deadline(deadline_ms));
-  if (!resp.ok()) return resp.status();
-  SyncReply reply;
-  if (!DecodeSyncReply(resp.value().payload, &reply)) {
-    return common::Status::Unavailable("malformed sync reply");
-  }
-  return reply;
+  return CallDecoded(net::FrameType::kSyncPlans,
+                     EncodeSyncPlans(SyncPlansRequest{name, epoch}),
+                     net::FrameType::kSyncReply, Deadline(deadline_ms),
+                     DecodeSyncReply);
 }
 
 common::Result<EpochReply> RemoteShard::EpochOf(const std::string& name,
                                                 int deadline_ms) {
-  auto resp = Call(net::FrameType::kEpochQuery, EncodeName(name),
-                   net::FrameType::kEpochReply, Deadline(deadline_ms));
-  if (!resp.ok()) return resp.status();
-  EpochReply reply;
-  if (!DecodeEpochReply(resp.value().payload, &reply)) {
-    return common::Status::Unavailable("malformed epoch reply");
-  }
-  return reply;
+  return CallDecoded(net::FrameType::kEpochQuery, EncodeName(name),
+                     net::FrameType::kEpochReply, Deadline(deadline_ms),
+                     DecodeEpochReply);
 }
 
 common::Status RemoteShard::RemoveDataset(const std::string& name,
@@ -279,42 +255,27 @@ common::Status RemoteShard::RemoveDataset(const std::string& name,
 
 common::Result<AppendReply> RemoteShard::AppendFrames(
     const AppendFramesRequest& req, int deadline_ms) {
-  auto resp = Call(net::FrameType::kAppendFrames, EncodeAppendFrames(req),
-                   net::FrameType::kAppendReply, Deadline(deadline_ms));
-  if (!resp.ok()) return resp.status();
-  AppendReply reply;
-  if (!DecodeAppendReply(resp.value().payload, &reply)) {
-    return common::Status::Unavailable("malformed append reply");
-  }
-  return reply;
+  return CallDecoded(net::FrameType::kAppendFrames, EncodeAppendFrames(req),
+                     net::FrameType::kAppendReply, Deadline(deadline_ms),
+                     DecodeAppendReply);
 }
 
 common::Result<SubscribeReply> RemoteShard::Subscribe(
     const SubscribeRequest& req, int deadline_ms) {
-  auto resp = Call(net::FrameType::kSubscribe, EncodeSubscribeRequest(req),
-                   net::FrameType::kSubscribeReply, Deadline(deadline_ms));
-  if (!resp.ok()) return resp.status();
-  SubscribeReply reply;
-  if (!DecodeSubscribeReply(resp.value().payload, &reply)) {
-    return common::Status::Unavailable("malformed subscribe reply");
-  }
-  return reply;
+  return CallDecoded(net::FrameType::kSubscribe, EncodeSubscribeRequest(req),
+                     net::FrameType::kSubscribeReply, Deadline(deadline_ms),
+                     DecodeSubscribeReply);
 }
 
 common::Result<StreamResultMsg> RemoteShard::StreamPoll(
     const StreamPollRequest& req, int deadline_ms) {
   // The poll's own long-poll window must fit inside the transport
   // deadline, or a quiet stream would be misread as a dead shard.
-  const int deadline = Deadline(deadline_ms);
-  auto resp = Call(net::FrameType::kStreamPoll, EncodeStreamPoll(req),
-                   net::FrameType::kStreamResult,
-                   std::max(deadline, static_cast<int>(req.timeout_ms) + 2'000));
-  if (!resp.ok()) return resp.status();
-  StreamResultMsg msg;
-  if (!DecodeStreamResult(resp.value().payload, &msg)) {
-    return common::Status::Unavailable("malformed stream result");
-  }
-  return msg;
+  const int deadline = std::max(Deadline(deadline_ms),
+                                static_cast<int>(req.timeout_ms) + 2'000);
+  return CallDecoded(net::FrameType::kStreamPoll, EncodeStreamPoll(req),
+                     net::FrameType::kStreamResult, deadline,
+                     DecodeStreamResult);
 }
 
 common::Status RemoteShard::Unsubscribe(uint64_t sub_id, int deadline_ms) {

@@ -127,6 +127,12 @@ class RemoteShard {
   // carried Status (never retried here — the server DID answer).
   common::Result<net::Frame> Call(net::FrameType type, std::string payload,
                                   net::FrameType expect, int deadline_ms);
+  // Call, then `decode` the success reply's payload. A reply that does not
+  // decode is the shard's fault and surfaces as kUnavailable.
+  template <typename T>
+  common::Result<T> CallDecoded(net::FrameType type, std::string payload,
+                                net::FrameType expect, int deadline_ms,
+                                bool (*decode)(const std::string&, T*));
 
   // Pool: pop an idle connection or dial a fresh one.
   common::Result<net::FrameConn> Acquire();
@@ -140,7 +146,6 @@ class RemoteShard {
 
   std::mutex pool_mu_;
   std::vector<net::FrameConn> pool_;
-  bool closed_ = false;
 
   std::mutex seq_mu_;
   uint64_t next_request_id_ = 1;

@@ -8,35 +8,6 @@
 
 namespace zeus::cluster {
 
-namespace {
-
-// Merge per-dataset rows from many shard snapshots by name (counters add,
-// histograms merge, queue depth sums — a dataset only ever lives on one
-// shard at a time, but across a failover its history spans two).
-void MergeDatasetRows(std::vector<engine::DatasetStats>* into,
-                      const std::vector<engine::DatasetStats>& rows) {
-  for (const auto& row : rows) {
-    auto it = std::find_if(
-        into->begin(), into->end(),
-        [&](const engine::DatasetStats& d) { return d.dataset == row.dataset; });
-    if (it == into->end()) {
-      into->push_back(row);
-      continue;
-    }
-    it->queue_depth += row.queue_depth;
-    it->weight = std::max(it->weight, row.weight);
-    it->submitted += row.submitted;
-    it->completed += row.completed;
-    it->failed += row.failed;
-    it->cancelled += row.cancelled;
-    it->rejected += row.rejected;
-    it->queue_wait.Merge(row.queue_wait);
-    it->exec.Merge(row.exec);
-  }
-}
-
-}  // namespace
-
 Router::Router(Options options)
     : opts_(std::move(options)),
       server_(opts_.name, opts_.write_deadline_ms,
@@ -865,16 +836,14 @@ StatsReply Router::Stats() {
   engine::GroupStats group = GroupStatsNow();
   ClusterHealth health = Health();
   StatsReply reply;
-  // Exact aggregate (alive shards + dead-shard carry), plus the merged
-  // per-dataset rows so `.stats`-style clients keep their breakdown.
-  static_cast<engine::ServingCounters&>(reply.stats) =
-      static_cast<const engine::ServingCounters&>(group);
-  for (const auto& shard : group.shards) {
-    MergeDatasetRows(&reply.stats.datasets, shard.datasets);
-  }
+  // Exact aggregate over the alive shards plus the dead-shard carry, with
+  // per-dataset rows merged by name so `.stats`-style clients keep their
+  // breakdown. The same ShardStats::Merge folds retired shards in
+  // EngineGroup.
+  for (const auto& shard : group.shards) reply.stats.Merge(shard);
   {
     std::lock_guard<std::mutex> lock(state_mu_);
-    if (have_carry_) MergeDatasetRows(&reply.stats.datasets, carry_.datasets);
+    if (have_carry_) reply.stats.Merge(carry_);
   }
   reply.num_shards = group.num_shards;
   reply.failovers = health.failovers;

@@ -2,12 +2,32 @@
 
 #include <algorithm>
 #include <optional>
+#include <type_traits>
 
 #include "cluster/metrics_text.h"
 #include "common/logging.h"
 #include "core/query.h"
 
 namespace zeus::cluster {
+
+namespace {
+
+// The engine's execution defaults with a request's priority and accuracy /
+// latency budget applied. ExecRequest and SubscribeRequest carry the same
+// budget fields; only ExecRequest carries a priority.
+template <typename Request>
+engine::QueryOptions OptionsFor(engine::QueryOptions opts,
+                                const Request& req) {
+  if constexpr (std::is_same_v<Request, ExecRequest>) {
+    opts.priority = req.priority;
+  }
+  opts.tier = req.tier;
+  opts.min_accuracy = req.min_accuracy;
+  opts.max_latency_budget = req.max_latency_budget;
+  return opts;
+}
+
+}  // namespace
 
 ShardServer::ShardServer(Options options)
     : opts_(std::move(options)),
@@ -104,12 +124,8 @@ net::Frame ShardServer::HandleExecute(const net::Frame& req) {
   if (!DecodeExecRequest(req.payload, &exec)) return BadPayload(req);
   auto parsed = core::QueryParser::Parse(exec.sql);
   if (!parsed.ok()) return MakeErrorFrame(req.request_id, parsed.status());
-  engine::QueryOptions opts = engine_.options().exec;
-  opts.priority = exec.priority;
-  opts.tier = exec.tier;
-  opts.min_accuracy = exec.min_accuracy;
-  opts.max_latency_budget = exec.max_latency_budget;
-  auto result = engine_.Execute(exec.dataset, parsed.value(), opts);
+  auto result = engine_.Execute(exec.dataset, parsed.value(),
+                                OptionsFor(engine_.options().exec, exec));
   if (!result.ok()) return MakeErrorFrame(req.request_id, result.status());
   engine::QueryResult stamped = std::move(result).value();
   stamped.epoch = AppliedEpoch(exec.dataset);
@@ -122,12 +138,8 @@ net::Frame ShardServer::HandleSubmit(const net::Frame& req) {
   if (!DecodeExecRequest(req.payload, &exec)) return BadPayload(req);
   auto parsed = core::QueryParser::Parse(exec.sql);
   if (!parsed.ok()) return MakeErrorFrame(req.request_id, parsed.status());
-  engine::QueryOptions opts = engine_.options().exec;
-  opts.priority = exec.priority;
-  opts.tier = exec.tier;
-  opts.min_accuracy = exec.min_accuracy;
-  opts.max_latency_budget = exec.max_latency_budget;
-  auto ticket = engine_.Submit(exec.dataset, parsed.value(), opts);
+  auto ticket = engine_.Submit(exec.dataset, parsed.value(),
+                               OptionsFor(engine_.options().exec, exec));
   if (!ticket.ok()) return MakeErrorFrame(req.request_id, ticket.status());
   uint64_t id = 0;
   {
@@ -348,10 +360,7 @@ net::Frame ShardServer::HandleSubscribe(const net::Frame& req) {
     }
   }
   engine::SubscribeOptions opts;
-  opts.exec = engine_.options().exec;
-  opts.exec.tier = sub.tier;
-  opts.exec.min_accuracy = sub.min_accuracy;
-  opts.exec.max_latency_budget = sub.max_latency_budget;
+  opts.exec = OptionsFor(engine_.options().exec, sub);
   opts.window_frames = sub.window_frames;
   if (sub.max_buffered > 0) opts.max_buffered = sub.max_buffered;
   auto ticket = engine_.Subscribe(sub.dataset, sub.sql, opts);

@@ -148,6 +148,20 @@ bool WireReader::Str(std::string* s) {
   return true;
 }
 
+bool WireReader::Bool(bool& v) {
+  uint8_t b = 0;
+  if (!U8(&b)) return false;
+  if (b > 1) return Fail();
+  v = b != 0;
+  return true;
+}
+
+bool WireReader::Count(uint32_t& n, size_t min_elem_bytes) {
+  if (!U32(&n)) return false;
+  if (n > remaining() / min_elem_bytes) return Fail();
+  return true;
+}
+
 std::string EncodeFrame(const Frame& frame) {
   const uint32_t body_len = kFrameHeaderBytes +
                             static_cast<uint32_t>(frame.payload.size()) +

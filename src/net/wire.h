@@ -116,6 +116,13 @@ class WireWriter {
   void F64(double v);
   // u32 length + raw bytes.
   void Str(const std::string& s);
+  void Bool(bool v) { U8(v ? 1 : 0); }
+  // An enum as its u8 value. `max` only bounds the reader; it is taken here
+  // so that one field list drives both directions (cluster/protocol.cc).
+  template <typename E>
+  void Enum(E v, E /*max*/) {
+    U8(static_cast<uint8_t>(v));
+  }
 
   const std::string& str() const { return buf_; }
   std::string Take() { return std::move(buf_); }
@@ -141,12 +148,44 @@ class WireReader {
   // Rejects lengths that overrun the buffer before allocating.
   bool Str(std::string* s);
 
+  // Reference forms of the getters above, matching WireWriter's calls so
+  // that one field list drives both directions (cluster/protocol.cc).
+  bool U8(uint8_t& v) { return U8(&v); }
+  bool U32(uint32_t& v) { return U32(&v); }
+  bool U64(uint64_t& v) { return U64(&v); }
+  bool I32(int32_t& v) { return I32(&v); }
+  bool I64(int64_t& v) { return I64(&v); }
+  bool F64(double& v) { return F64(&v); }
+  bool Str(std::string& s) { return Str(&s); }
+
+  // The checks payload decoders share. Each poisons the reader on a value
+  // the wire format forbids.
+  // A bool is a u8 that is exactly 0 or 1.
+  bool Bool(bool& v);
+  // An enum is a u8 no larger than `max`.
+  template <typename E>
+  bool Enum(E& v, E max) {
+    uint8_t b = 0;
+    if (!U8(&b)) return false;
+    if (b > static_cast<uint8_t>(max)) return Fail();
+    v = static_cast<E>(b);
+    return true;
+  }
+  // A collection's u32 element count, rejected before the caller allocates
+  // when `n` elements of at least `min_elem_bytes` (> 0) each cannot fit in
+  // the bytes left, so a lying count never drives an allocation.
+  bool Count(uint32_t& n, size_t min_elem_bytes);
+  // Poisons the reader (a decoder's own check failed); returns false.
+  bool Fail() {
+    ok_ = false;
+    return false;
+  }
+
   bool ok() const { return ok_; }
   // True when every byte was consumed — decoders use it to reject frames
   // with trailing junk.
   bool AtEnd() const { return ok_ && pos_ == buf_.size(); }
-  // Unconsumed bytes — decoders bound length-prefixed collections with it
-  // before allocating, so a lying count can never drive an allocation.
+  // Unconsumed bytes.
   size_t remaining() const { return pos_ < buf_.size() ? buf_.size() - pos_ : 0; }
 
  private:

@@ -480,6 +480,16 @@ TEST_F(ClusterTest, RouterFailsOverKilledShardWithWarmPlansAndSameAnswers) {
   const auto after = router.Stats();
   EXPECT_EQ(after.stats.planner_runs, before.stats.planner_runs);
   EXPECT_GE(after.stats.completed, before.stats.completed);
+  // The dataset's own row keeps its completions from before the kill: the
+  // dead shard's row is carried and merged by name with the new home's.
+  auto completed_of = [&](const cluster::StatsReply& reply) -> long {
+    for (const auto& row : reply.stats.datasets) {
+      if (row.dataset == spec.name) return row.completed;
+    }
+    return -1;
+  };
+  EXPECT_GE(completed_of(before), 1);
+  EXPECT_GE(completed_of(after), completed_of(before) + 1);
   EXPECT_EQ(after.num_shards, 2);
   EXPECT_EQ(after.failovers, 1);
 

@@ -5,9 +5,12 @@
 // test everywhere: a frame either decodes exactly or is rejected whole —
 // no partial effect, no crash, no silent acceptance of corrupt bytes.
 
+#include <atomic>
+#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <map>
+#include <new>
 #include <optional>
 #include <string>
 #include <thread>
@@ -20,6 +23,25 @@
 #include "net/frame_conn.h"
 #include "net/socket.h"
 #include "net/wire.h"
+
+// While non-zero, the largest single heap allocation a test allows: a
+// larger request throws std::bad_alloc instead of being attempted. The
+// decoder fuzz below sets it, so a decoder that honours a lying count
+// fails the test instead of exhausting memory.
+static std::atomic<size_t> g_alloc_limit{0};
+
+void* operator new(size_t n) {
+  const size_t limit = g_alloc_limit.load(std::memory_order_relaxed);
+  if (limit != 0 && n > limit) throw std::bad_alloc();
+  if (void* p = std::malloc(n > 0 ? n : 1)) return p;
+  throw std::bad_alloc();
+}
+// Out of line, so the compiler never pairs this free() with an inlined
+// operator new and warns about a mismatch.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, size_t) noexcept {
+  std::free(p);
+}
 
 namespace zeus {
 namespace {
@@ -1090,6 +1112,68 @@ TEST(ProtocolTest, GoldenBytesPinEveryPayloadFormat) {
     // The decoder reads back exactly the fields the encoder wrote.
     EXPECT_EQ(s.reencode(s.bytes), std::optional<std::string>(s.bytes));
   }
+}
+
+// ---- Decoder fuzzing ---------------------------------------------------------
+
+// Runs the sample's decoder (and, on success, its encoder) over `bytes`
+// with no single allocation allowed beyond a small multiple of the input.
+std::optional<std::string> DecodeWithinBudget(const WireSample& s,
+                                              const std::string& bytes) {
+  std::optional<std::string> out;
+  bool over_allocated = false;
+  g_alloc_limit.store(4 * bytes.size() + 1024);
+  try {
+    out = s.reencode(bytes);
+  } catch (const std::bad_alloc&) {
+    over_allocated = true;
+  }
+  g_alloc_limit.store(0);
+  EXPECT_FALSE(over_allocated)
+      << "over-allocated on an input of " << bytes.size() << " bytes";
+  return out;
+}
+
+TEST(ProtocolTest, EveryDecoderSurvivesMutationsOfAValidEncoding) {
+  Lcg lcg(41);
+  for (const WireSample& s : AllPayloads()) {
+    SCOPED_TRACE(s.name);
+    const std::string& valid = s.bytes;
+    // A flip at every byte may decode (the result is just another message)
+    // or be rejected, but never crash or over-allocate.
+    for (size_t i = 0; i < valid.size(); ++i) {
+      std::string m = valid;
+      m[i] = static_cast<char>(m[i] ^ (lcg.Byte() | 1));
+      DecodeWithinBudget(s, m);
+    }
+    // 0xFFFFFFFF at every offset, which covers every u32 count and string
+    // length: rejected before allocation, never honoured.
+    for (size_t i = 0; i + 4 <= valid.size(); ++i) {
+      std::string m = valid;
+      m.replace(i, 4, 4, '\xff');
+      DecodeWithinBudget(s, m);
+    }
+    // Every strict prefix is rejected by the payload's own decoder.
+    for (size_t len = 0; len < valid.size(); ++len) {
+      EXPECT_FALSE(DecodeWithinBudget(s, valid.substr(0, len)).has_value())
+          << "prefix of length " << len << " decoded";
+    }
+    for (int round = 0; round < 64; ++round) {
+      DecodeWithinBudget(s, lcg.Bytes(round % 61));
+    }
+  }
+}
+
+TEST(ProtocolTest, DatasetSpecWarmPlansIsAStrictBool) {
+  cluster::DatasetSpec spec;
+  spec.name = "d";
+  spec.warm_plans = true;
+  std::string payload = cluster::EncodeDatasetSpec(spec);
+  // warm_plans is the u8 ahead of the trailing u64 epoch.
+  ASSERT_EQ(payload[payload.size() - 9], 1);
+  payload[payload.size() - 9] = 2;
+  cluster::DatasetSpec out;
+  EXPECT_FALSE(cluster::DecodeDatasetSpec(payload, &out));
 }
 
 // ---- Real TCP exchange -----------------------------------------------------
