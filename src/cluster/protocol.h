@@ -15,7 +15,9 @@ namespace zeus::cluster {
 // prefix, version, type, request id, crc trailer — is net/wire.h). Each
 // message has an Encode returning payload bytes and a Decode returning
 // false on any malformed input (Decoders are total: they never crash on
-// garbage, a property tests/net_test.cc fuzzes).
+// garbage, a property tests/net_test.cc fuzzes). Both are driven by the
+// message's one field list in protocol.cc, so they cannot disagree on the
+// wire order; docs/PROTOCOL.md §4 transcribes those lists.
 
 // ---- Dataset registration --------------------------------------------------
 

@@ -22,6 +22,12 @@ int BackoffMs(int attempt, uint64_t request_id, int base_ms, int max_ms) {
   return static_cast<int>(half + (hash >> 33) % (delay - half + 1));
 }
 
+common::Status MalformedReply(net::FrameType type, const std::string& shard) {
+  return common::Status::Unavailable(std::string("malformed ") +
+                                     net::FrameTypeName(type) +
+                                     " payload from " + shard);
+}
+
 }  // namespace
 
 // ---- RemoteTicket ----------------------------------------------------------
@@ -169,9 +175,7 @@ common::Result<T> RemoteShard::CallDecoded(
   if (!resp.ok()) return resp.status();
   T out{};
   if (!decode(resp.value().payload, &out)) {
-    return common::Status::Unavailable(std::string("malformed ") +
-                                       net::FrameTypeName(expect) +
-                                       " payload from " + opts_.name);
+    return MalformedReply(expect, opts_.name);
   }
   return out;
 }
