@@ -445,5 +445,39 @@ TEST(StreamGrowthTest, FromPartsIsNotStreamableUntilRestored) {
   }
 }
 
+// FNV-1a over every pixel and label of every video, in video/frame order.
+uint64_t HashDataset(const SyntheticDataset& ds) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  auto mix = [&h](const void* data, size_t n) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < n; ++i) {
+      h ^= p[i];
+      h *= 0x100000001b3ull;
+    }
+  };
+  for (const Video& v : ds.videos()) {
+    const size_t frame_bytes =
+        static_cast<size_t>(v.height()) * v.width() * sizeof(float);
+    for (int f = 0; f < v.num_frames(); ++f) {
+      mix(v.FrameData(f), frame_bytes);
+      const int32_t label = static_cast<int32_t>(v.Label(f));
+      mix(&label, sizeof(label));
+    }
+  }
+  return h;
+}
+
+TEST(StreamGrowthTest, GeneratedBytesMatchGoldenHash) {
+  // Pins the exact rendered bytes of a generated dataset plus growth by
+  // whole and partial blocks. Renderer or storage changes must keep the
+  // pixels bit-identical, or every recorded answer and benchmark figure
+  // computed from them silently shifts.
+  auto ds = SyntheticDataset::Generate(SmallStreamProfile(), 57);
+  ASSERT_TRUE(ds.GrowTo(80 + 2 * SyntheticDataset::kStreamBlockFrames, 1).ok());
+  ASSERT_TRUE(ds.GrowTo(80 + 2 * SyntheticDataset::kStreamBlockFrames + 21, 2)
+                  .ok());
+  EXPECT_EQ(HashDataset(ds), 0x700b6eb57f2ad272ull);
+}
+
 }  // namespace
 }  // namespace zeus::video
