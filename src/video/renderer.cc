@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 namespace zeus::video {
 
@@ -9,13 +10,22 @@ void SceneRenderer::RenderBackground(int frame_idx, const double phases[6],
                                      float* out, common::Rng* rng) const {
   const double drift =
       style_.drift_speed * frame_idx / 100.0;  // fraction of width
+  // The separable texture factors depend only on the column (with this
+  // frame's drift) or only on the row: evaluate each once, with the same
+  // expressions as the per-pixel term, so the bytes do not change.
+  std::vector<double> col_sin(static_cast<size_t>(width_));
+  for (int x = 0; x < width_; ++x) {
+    const double fx = static_cast<double>(x) / width_ + drift;
+    col_sin[static_cast<size_t>(x)] =
+        std::sin(2.0 * M_PI * (1.3 * fx + phases[0]));
+  }
   for (int y = 0; y < height_; ++y) {
-    double fy = static_cast<double>(y) / height_;
+    const double fy = static_cast<double>(y) / height_;
+    const double row_cos = std::cos(2.0 * M_PI * (0.9 * fy + phases[1]));
     for (int x = 0; x < width_; ++x) {
-      double fx = static_cast<double>(x) / width_ + drift;
+      const double fx = static_cast<double>(x) / width_ + drift;
       double tex =
-          std::sin(2.0 * M_PI * (1.3 * fx + phases[0])) *
-              std::cos(2.0 * M_PI * (0.9 * fy + phases[1])) +
+          col_sin[static_cast<size_t>(x)] * row_cos +
           0.5 * std::sin(2.0 * M_PI * (2.7 * fx + 1.9 * fy + phases[2]));
       double v = style_.base_brightness + style_.texture_amplitude * tex * 0.5 +
                  style_.noise_sigma * rng->NextGaussian();
