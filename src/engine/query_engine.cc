@@ -415,9 +415,11 @@ common::Result<AppendOutcome> QueryEngine::GrowLocked(const std::string& name,
     out.stream_length = before;
     return out;
   }
-  // Copy-on-write: grow a clone, then swap it in. Queries already running
-  // hold the old snapshot via ShareDataset and never observe a torn
-  // mid-append state; runs claimed after the swap see the grown dataset.
+  // Grow a copy, then swap it in. Queries already running hold the old
+  // snapshot via ShareDataset and never observe a torn mid-append state;
+  // runs claimed after the swap see the grown dataset. The copy shares the
+  // old snapshot's frame blocks, so it costs O(videos + blocks), and the
+  // growth only adds blocks.
   auto grown = std::make_shared<video::SyntheticDataset>(*old);
   common::Status grow = grown->GrowTo(target_frames, epoch);
   if (!grow.ok()) return grow;

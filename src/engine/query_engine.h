@@ -344,9 +344,13 @@ class QueryEngine {
   // `target_frames` frames, stamping growth epoch `epoch`. Both arguments
   // are absolute, so a retried or replayed append converges to the same
   // bytes and the same epoch — the call is idempotent (a replay that adds
-  // nothing reports appended == 0). Copy-on-write: queries already running
-  // keep their pre-append snapshot; runs claimed after the swap see the
-  // grown dataset. Subscriptions on the dataset are re-armed.
+  // nothing reports appended == 0). Snapshot swap: the engine grows a copy
+  // of the dataset and swaps it in, so queries already running keep their
+  // pre-append snapshot and runs claimed after the swap see the grown
+  // dataset. The copy shares every existing frame block with the old
+  // snapshot, so an append costs O(videos + blocks) plus rendering the
+  // appended frames — never a copy of earlier pixels. Subscriptions on the
+  // dataset are re-armed.
   // kFailedPrecondition when the dataset has no recorded stream seed.
   common::Result<AppendOutcome> GrowDataset(const std::string& name,
                                             long target_frames,
@@ -458,8 +462,9 @@ class QueryEngine {
   mutable std::mutex datasets_mu_;
   std::map<std::string, std::shared_ptr<video::SyntheticDataset>> datasets_;
 
-  // Serializes appends (the copy-on-write growth is expensive and must not
-  // race itself); never held while queries run. Lock order:
+  // Serializes appends: two concurrent copy-and-grows would fork the
+  // stream and one fork's frames would be lost in the swap. Never held
+  // while queries run. Lock order:
   // append_mu_ -> datasets_mu_, append_mu_ -> subs_mu_ -> (per-sub mu).
   std::mutex append_mu_;
 

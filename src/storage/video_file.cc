@@ -104,30 +104,40 @@ common::Status VideoFile::Write(std::ostream& os, const video::Video& video,
     w.WritePod<int32_t>(cls);
   }
 
-  const size_t n = static_cast<size_t>(video.num_frames()) * video.height() *
-                   video.width();
-  const float* pixels = n > 0 ? video.FrameData(0) : nullptr;
+  // Pixels are contiguous within a frame only (frames live in shared
+  // blocks), so every pass walks the video frame by frame.
+  const int frames = video.num_frames();
+  const size_t frame_px = static_cast<size_t>(video.height()) * video.width();
   switch (encoding) {
     case PixelEncoding::kFloat32:
-      if (n > 0) w.Write(pixels, n * sizeof(float));
+      for (int f = 0; f < frames; ++f) {
+        w.Write(video.FrameData(f), frame_px * sizeof(float));
+      }
       break;
     case PixelEncoding::kUint8: {
-      float lo = 0.0f, hi = 1.0f;
-      if (n > 0) {
-        const auto [mn, mx] = std::minmax_element(pixels, pixels + n);
-        lo = *mn;
-        hi = *mx;
+      float lo = std::numeric_limits<float>::max();
+      float hi = std::numeric_limits<float>::lowest();
+      for (int f = 0; f < frames; ++f) {
+        const float* px = video.FrameData(f);
+        for (size_t i = 0; i < frame_px; ++i) {
+          lo = std::min(lo, px[i]);
+          hi = std::max(hi, px[i]);
+        }
       }
+      if (lo > hi) lo = 0.0f;        // no pixels: any range works
       if (hi <= lo) hi = lo + 1.0f;  // constant frame: any scale works
       w.WritePod<float>(lo);
       w.WritePod<float>(hi);
       const float scale = 255.0f / (hi - lo);
-      std::vector<uint8_t> quantized(n);
-      for (size_t i = 0; i < n; ++i) {
-        float q = (pixels[i] - lo) * scale + 0.5f;
-        quantized[i] = static_cast<uint8_t>(std::clamp(q, 0.0f, 255.0f));
+      std::vector<uint8_t> quantized(frame_px);
+      for (int f = 0; f < frames; ++f) {
+        const float* px = video.FrameData(f);
+        for (size_t i = 0; i < frame_px; ++i) {
+          float q = (px[i] - lo) * scale + 0.5f;
+          quantized[i] = static_cast<uint8_t>(std::clamp(q, 0.0f, 255.0f));
+        }
+        w.Write(quantized.data(), frame_px);
       }
-      if (n > 0) w.Write(quantized.data(), n);
       break;
     }
     default:
@@ -187,13 +197,13 @@ common::Result<video::Video> VideoFile::Read(std::istream& is) {
     return common::Status::IoError("label runs do not cover all frames");
   }
 
-  const size_t n =
-      static_cast<size_t>(frames) * height * width;
-  float* pixels = n > 0 ? video.FrameData(0) : nullptr;
+  const size_t frame_px = static_cast<size_t>(height) * width;
   switch (static_cast<PixelEncoding>(encoding_byte)) {
     case PixelEncoding::kFloat32:
-      if (n > 0 && !r.Read(pixels, n * sizeof(float))) {
-        return common::Status::IoError("truncated float32 pixels");
+      for (int f = 0; f < frames; ++f) {
+        if (!r.Read(video.FrameData(f), frame_px * sizeof(float))) {
+          return common::Status::IoError("truncated float32 pixels");
+        }
       }
       break;
     case PixelEncoding::kUint8: {
@@ -201,13 +211,16 @@ common::Result<video::Video> VideoFile::Read(std::istream& is) {
       if (!r.ReadPod(&lo) || !r.ReadPod(&hi)) {
         return common::Status::IoError("truncated quantization range");
       }
-      std::vector<uint8_t> quantized(n);
-      if (n > 0 && !r.Read(quantized.data(), n)) {
-        return common::Status::IoError("truncated uint8 pixels");
-      }
       const float scale = (hi - lo) / 255.0f;
-      for (size_t i = 0; i < n; ++i) {
-        pixels[i] = lo + static_cast<float>(quantized[i]) * scale;
+      std::vector<uint8_t> quantized(frame_px);
+      for (int f = 0; f < frames; ++f) {
+        if (!r.Read(quantized.data(), frame_px)) {
+          return common::Status::IoError("truncated uint8 pixels");
+        }
+        float* px = video.FrameData(f);
+        for (size_t i = 0; i < frame_px; ++i) {
+          px[i] = lo + static_cast<float>(quantized[i]) * scale;
+        }
       }
       break;
     }

@@ -279,7 +279,13 @@ common::Status SyntheticDataset::GrowTo(long target_frames, uint64_t epoch) {
       const int want = static_cast<int>(
           std::min<long>(kStreamBlockFrames - from,
                          target_frames - v.num_frames()));
-      v.Append(rendered.Slice(from, want));
+      // A whole block joins the video as rendered (its pixels are shared,
+      // not copied); only a partial one is sliced to the wanted frames.
+      if (want == kStreamBlockFrames) {
+        v.Append(rendered);
+      } else {
+        v.Append(rendered.Slice(from, want));
+      }
     }
   }
   return common::Status::Ok();

@@ -46,9 +46,45 @@ ActionClass ParseActionClass(const std::string& name) {
   return ActionClass::kNone;
 }
 
+Video::Video(int num_frames, int height, int width)
+    : num_frames_(num_frames),
+      height_(height),
+      width_(width),
+      labels_(static_cast<size_t>(num_frames), ActionClass::kNone) {
+  if (num_frames > 0) {
+    blocks_.push_back(
+        {0, num_frames,
+         std::shared_ptr<float[]>(
+             new float[static_cast<size_t>(num_frames) * FramePixels()]())});
+  }
+}
+
+size_t Video::BlockIndex(int f) const {
+  auto it = std::upper_bound(
+      blocks_.begin(), blocks_.end(), f,
+      [](int frame, const Block& b) { return frame < b.begin; });
+  return static_cast<size_t>(it - blocks_.begin()) - 1;
+}
+
+float* Video::FrameData(int f) {
+  ZEUS_CHECK(f >= 0 && f < num_frames_);
+  Block& b = blocks_[BlockIndex(f)];
+  // A caller with non-const access owns this Video, so a count of one
+  // means no other Video can reach the block and it is safe to write.
+  if (b.pixels.use_count() > 1) {
+    const size_t n = static_cast<size_t>(b.frames) * FramePixels();
+    std::shared_ptr<float[]> own(new float[n]);
+    std::copy_n(b.pixels.get(), n, own.get());
+    b.pixels = std::move(own);
+  }
+  return b.pixels.get() + static_cast<size_t>(f - b.begin) * FramePixels();
+}
+
 void Video::Append(const Video& tail) {
   ZEUS_CHECK(tail.height_ == height_ && tail.width_ == width_);
-  data_.insert(data_.end(), tail.data_.begin(), tail.data_.end());
+  for (const Block& b : tail.blocks_) {
+    blocks_.push_back({num_frames_ + b.begin, b.frames, b.pixels});
+  }
   labels_.insert(labels_.end(), tail.labels_.begin(), tail.labels_.end());
   num_frames_ += tail.num_frames_;
 }
@@ -56,11 +92,9 @@ void Video::Append(const Video& tail) {
 Video Video::Slice(int start, int count) const {
   ZEUS_CHECK(start >= 0 && count >= 0 && start + count <= num_frames_);
   Video out(count, height_, width_);
-  const size_t frame_px = static_cast<size_t>(height_) * width_;
-  std::copy(data_.begin() + static_cast<long>(start) * static_cast<long>(frame_px),
-            data_.begin() +
-                static_cast<long>(start + count) * static_cast<long>(frame_px),
-            out.data_.begin());
+  for (int f = 0; f < count; ++f) {
+    std::copy_n(FrameData(start + f), FramePixels(), out.FrameData(f));
+  }
   std::copy(labels_.begin() + start, labels_.begin() + start + count,
             out.labels_.begin());
   return out;

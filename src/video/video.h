@@ -2,6 +2,7 @@
 #define ZEUS_VIDEO_VIDEO_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -37,28 +38,29 @@ const char* ActionClassName(ActionClass cls);
 ActionClass ParseActionClass(const std::string& name);
 
 // A single-channel (luminance) video with per-frame ground-truth labels.
-// Frames are stored contiguously; pixel (f, y, x) lives at
-// data[(f * height + y) * width + x], values roughly in [0, 1].
+// Pixel (f, y, x) lives at FrameData(f)[y * width + x], values roughly in
+// [0, 1]. Each frame is contiguous, but the video is not: pixels live in
+// immutable, reference-counted blocks of consecutive frames. Copying a
+// Video shares its blocks, Append adds the tail's blocks without touching
+// earlier pixels, and a write through non-const FrameData first un-shares
+// the one block it lands in (copy-on-write), so no copy ever observes
+// another copy's writes. Labels stay one contiguous vector per video.
 class Video {
  public:
-  Video(int num_frames, int height, int width)
-      : num_frames_(num_frames),
-        height_(height),
-        width_(width),
-        data_(static_cast<size_t>(num_frames) * height * width, 0.0f),
-        labels_(static_cast<size_t>(num_frames), ActionClass::kNone) {}
+  Video(int num_frames, int height, int width);
 
   int num_frames() const { return num_frames_; }
   int height() const { return height_; }
   int width() const { return width_; }
 
-  float* FrameData(int f) {
-    ZEUS_CHECK(f >= 0 && f < num_frames_);
-    return data_.data() + static_cast<size_t>(f) * height_ * width_;
-  }
+  // Pixels of frame f (height * width floats). Frames are only contiguous
+  // within a frame: never index past one frame from this pointer. The
+  // non-const form copies f's block first when another Video shares it.
+  float* FrameData(int f);
   const float* FrameData(int f) const {
     ZEUS_CHECK(f >= 0 && f < num_frames_);
-    return data_.data() + static_cast<size_t>(f) * height_ * width_;
+    const Block& b = blocks_[BlockIndex(f)];
+    return b.pixels.get() + static_cast<size_t>(f - b.begin) * FramePixels();
   }
 
   // Oracle label function L(n) from §2.1.
@@ -84,15 +86,16 @@ class Video {
   const std::vector<ActionClass>& labels() const { return labels_; }
 
   // Stream append: extends this video with `tail`'s frames and labels.
-  // Shapes must match. Existing frame bytes are never rewritten (only the
-  // backing vector may reallocate), so a reader that snapshotted an
-  // earlier num_frames() and indexes below it always sees the same
-  // pixels — growth is strictly suffix-only.
+  // Shapes must match. The tail's blocks are shared, not copied, and no
+  // earlier block is touched, so the cost is O(tail blocks + labels) and
+  // every earlier frame keeps its address and bytes: a snapshot copied
+  // before the append indexes the very same pixels below its
+  // num_frames() — growth is strictly suffix-only.
   void Append(const Video& tail);
 
-  // Copy of frames [start, start + count) as a standalone video (stream
-  // blocks are rendered whole and sliced to the appended range). The id
-  // is not copied.
+  // Copy of frames [start, start + count) as a standalone single-block
+  // video (a partially appended stream block is sliced from its render).
+  // The id is not copied.
   Video Slice(int start, int count) const;
 
   // Optional identifier for debugging / cache keys.
@@ -100,10 +103,22 @@ class Video {
   int id() const { return id_; }
 
  private:
+  // Frames [begin, begin + frames) of this video, in one allocation that
+  // other Videos may share.
+  struct Block {
+    int begin;
+    int frames;
+    std::shared_ptr<float[]> pixels;
+  };
+
+  size_t FramePixels() const { return static_cast<size_t>(height_) * width_; }
+  // Index of the block holding frame f (blocks are sorted by begin).
+  size_t BlockIndex(int f) const;
+
   int num_frames_;
   int height_;
   int width_;
-  std::vector<float> data_;
+  std::vector<Block> blocks_;
   std::vector<ActionClass> labels_;
   int id_ = -1;
 };

@@ -350,6 +350,62 @@ TEST(VideoStoreAppendTest, AppendRoundTripsLosslessly) {
   EXPECT_TRUE(SameVideo(expect, got.value()));
 }
 
+// A video whose pixels span several frame blocks, as a grown stream
+// video's do: `blocks` appended pieces of uneven length.
+video::Video MultiBlockVideo(int id, int blocks, int side) {
+  video::Video v = MakeVideo(id, 7, side, /*seed=*/31);
+  for (int b = 0; b < blocks; ++b) {
+    v.Append(MakeVideo(id, 3 + 2 * b, side, /*seed=*/40 + b));
+  }
+  v.set_id(id);
+  return v;
+}
+
+TEST(VideoFileTest, MultiBlockVideoRoundTripsInBothEncodings) {
+  const auto v = MultiBlockVideo(5, 3, 8);
+  ASSERT_EQ(v.num_frames(), 7 + 3 + 5 + 7);
+  const std::string path = testing::TempDir() + "/vf_blocks.zvf";
+
+  ASSERT_TRUE(
+      storage::VideoFile::Save(path, v, storage::PixelEncoding::kFloat32).ok());
+  auto f32 = storage::VideoFile::Load(path);
+  ASSERT_TRUE(f32.ok()) << f32.status().ToString();
+  EXPECT_EQ(f32.value().id(), 5);
+  EXPECT_TRUE(SameVideo(v, f32.value()));
+
+  ASSERT_TRUE(
+      storage::VideoFile::Save(path, v, storage::PixelEncoding::kUint8).ok());
+  auto u8 = storage::VideoFile::Load(path);
+  ASSERT_TRUE(u8.ok()) << u8.status().ToString();
+  const video::Video& w = u8.value();
+  ASSERT_EQ(w.num_frames(), v.num_frames());
+  EXPECT_EQ(w.labels(), v.labels());
+  // One quantization range spans every block.
+  const float bound = 1.0f / 255.0f / 2.0f + 1e-5f;
+  for (int f = 0; f < v.num_frames(); ++f) {
+    for (int i = 0; i < v.height() * v.width(); ++i) {
+      ASSERT_NEAR(v.FrameData(f)[i], w.FrameData(f)[i], bound)
+          << "frame " << f << " pixel " << i;
+    }
+  }
+}
+
+TEST(VideoStoreAppendTest, MultiBlockAppendRoundTripsLosslessly) {
+  auto store = storage::VideoStore::Open(UniqueDir("appendblocks"));
+  ASSERT_TRUE(store.ok());
+  auto& s = store.value();
+  const auto base = MultiBlockVideo(3, 2, 6);
+  ASSERT_TRUE(s.Put(base, storage::PixelEncoding::kFloat32).ok());
+  const auto tail = MultiBlockVideo(3, 3, 6);
+  ASSERT_TRUE(s.AppendFrames(3, tail).ok());
+
+  video::Video expect = base;
+  expect.Append(tail);
+  auto got = s.Get(3);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_TRUE(SameVideo(expect, got.value()));
+}
+
 TEST(VideoStoreAppendTest, RejectsShapeMismatchAndUnknownId) {
   auto store = storage::VideoStore::Open(UniqueDir("appendbad"));
   ASSERT_TRUE(store.ok());

@@ -445,6 +445,74 @@ TEST(StreamGrowthTest, FromPartsIsNotStreamableUntilRestored) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Snapshot sharing: frame blocks are immutable and reference-counted.
+
+TEST(SnapshotSharingTest, GrowToKeepsEarlierFramesInPlace) {
+  auto ds = SyntheticDataset::Generate(SmallStreamProfile(), 23);
+  ASSERT_TRUE(ds.GrowTo(80 + SyntheticDataset::kStreamBlockFrames, 1).ok());
+  const SyntheticDataset before = ds;
+  ASSERT_TRUE(ds.GrowTo(80 + 3 * SyntheticDataset::kStreamBlockFrames + 5, 2)
+                  .ok());
+  for (int idx : ds.test_indices()) {
+    const Video& was = before.video(static_cast<size_t>(idx));
+    const Video& now = ds.video(static_cast<size_t>(idx));
+    ASSERT_GT(now.num_frames(), was.num_frames());
+    // Every frame below the old length, in the generated base and in the
+    // earlier appended block alike, is the same memory in both snapshots.
+    for (int f = 0; f < was.num_frames(); ++f) {
+      ASSERT_EQ(was.FrameData(f), now.FrameData(f))
+          << "video " << idx << " frame " << f;
+    }
+  }
+}
+
+TEST(SnapshotSharingTest, TrainAndValidationVideosShareStorage) {
+  auto ds = SyntheticDataset::Generate(SmallStreamProfile(), 29);
+  const SyntheticDataset before = ds;
+  ASSERT_TRUE(ds.GrowTo(200, 1).ok());
+  std::vector<int> frozen = ds.train_indices();
+  frozen.insert(frozen.end(), ds.val_indices().begin(),
+                ds.val_indices().end());
+  ASSERT_FALSE(frozen.empty());
+  for (int idx : frozen) {
+    const Video& was = before.video(static_cast<size_t>(idx));
+    const Video& now = ds.video(static_cast<size_t>(idx));
+    ASSERT_EQ(was.num_frames(), now.num_frames());
+    for (int f = 0; f < now.num_frames(); ++f) {
+      ASSERT_EQ(was.FrameData(f), now.FrameData(f))
+          << "video " << idx << " frame " << f;
+    }
+  }
+}
+
+TEST(SnapshotSharingTest, WriteThroughCopyUnsharesOnlyItsBlock) {
+  Video original(4, 3, 3);
+  Video tail(2, 3, 3);
+  tail.FrameData(1)[4] = 0.5f;
+  original.Append(tail);  // two blocks: frames [0, 4) and [4, 6)
+  const Video& ro = original;
+  Video copy = original;
+  const Video& rc = copy;
+  ASSERT_EQ(rc.FrameData(1), ro.FrameData(1));
+  ASSERT_EQ(rc.FrameData(5), ro.FrameData(5));
+
+  copy.FrameData(5)[4] = 0.25f;
+  EXPECT_EQ(ro.FrameData(5)[4], 0.5f);
+  EXPECT_EQ(rc.FrameData(5)[4], 0.25f);
+  EXPECT_NE(rc.FrameData(5), ro.FrameData(5));
+  // The untouched first block is still shared.
+  EXPECT_EQ(rc.FrameData(1), ro.FrameData(1));
+
+  copy.FrameData(0)[0] = 1.0f;
+  EXPECT_EQ(ro.FrameData(0)[0], 0.0f);
+  EXPECT_EQ(rc.FrameData(0)[0], 1.0f);
+  // A block no other Video shares is written in place.
+  const float* own = rc.FrameData(0);
+  copy.FrameData(0)[1] = 1.0f;
+  EXPECT_EQ(rc.FrameData(0), own);
+}
+
 // FNV-1a over every pixel and label of every video, in video/frame order.
 uint64_t HashDataset(const SyntheticDataset& ds) {
   uint64_t h = 0xcbf29ce484222325ull;
