@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <memory>
+#include <string>
 
 #include "apfg/apfg.h"
 #include "apfg/feature_cache.h"
@@ -13,6 +16,7 @@
 #include "apfg/segment_sampler.h"
 #include "tensor/tensor_ops.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "video/dataset.h"
 
 namespace zeus::apfg {
@@ -152,6 +156,90 @@ TEST(ApfgTest, ProcessEmitsFeatureAndProbability) {
   EXPECT_EQ(static_cast<int>(out.feature.size()), apfg.feature_dim());
   EXPECT_GE(out.action_prob, 0.0f);
   EXPECT_LE(out.action_prob, 1.0f);
+}
+
+// A video with random pixels, so every segment decodes to different input.
+video::Video MakeNoiseVideo(int frames, uint64_t seed) {
+  video::Video v(frames, 12, 12);
+  common::Rng rng(seed);
+  for (int f = 0; f < frames; ++f) {
+    float* px = v.FrameData(f);
+    for (int i = 0; i < 12 * 12; ++i) {
+      px[i] = static_cast<float>(rng.NextUniform(0.0, 1.0));
+    }
+  }
+  v.set_id(777);
+  return v;
+}
+
+bool SameBits(const tensor::Tensor& a, const tensor::Tensor& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+std::vector<tensor::GemmIsa> SupportedTiers() {
+  std::vector<tensor::GemmIsa> tiers;
+  for (tensor::GemmIsa t : {tensor::GemmIsa::kScalar, tensor::GemmIsa::kAvx2,
+                            tensor::GemmIsa::kAvx512}) {
+    if (tensor::ResolveGemmIsa(t) == t) tiers.push_back(t);
+  }
+  return tiers;
+}
+
+// Row i of ProcessBatch must equal Process on the same segment bit for bit
+// at every batch size: FeatureCache::Warm extracts a round's misses in one
+// batch, and a feature must not depend on which segments shared its batch.
+void ExpectProcessBatchRowsMatchProcess(const tensor::ComputeContext& ctx,
+                                        bool int8, const std::string& label) {
+  constexpr int kMaxBatch = 9;
+  common::Rng rng(19);
+  Apfg apfg(ApfgTrainOptions{}, /*model_reuse=*/true, &rng);
+  apfg.SetComputeContext(&ctx);
+  const video::Video v = MakeNoiseVideo(80, 23);
+  const video::DecodeSpec spec{12, 4, 2};
+  if (int8) {
+    apfg.EnableInt8Inference();
+    apfg.Process(v, 0, spec);  // settles the lazy int8 validation
+  }
+  std::vector<Apfg::Output> single;
+  std::vector<tensor::Tensor> segments;
+  for (int i = 0; i < kMaxBatch; ++i) {
+    single.push_back(apfg.Process(v, 8 * i, spec));
+    segments.push_back(video::SegmentDecoder::Decode(v, 8 * i, spec));
+  }
+  for (int b = 1; b <= kMaxBatch; ++b) {
+    std::vector<tensor::Tensor> parts(segments.begin(), segments.begin() + b);
+    std::vector<Apfg::Output> rows =
+        apfg.ProcessBatch(tensor::Stack(parts), spec);
+    ASSERT_EQ(static_cast<int>(rows.size()), b);
+    for (int i = 0; i < b; ++i) {
+      const Apfg::Output& want = single[static_cast<size_t>(i)];
+      const Apfg::Output& got = rows[static_cast<size_t>(i)];
+      EXPECT_TRUE(SameBits(got.feature, want.feature))
+          << label << " batch " << b << " row " << i;
+      EXPECT_EQ(std::memcmp(&got.action_prob, &want.action_prob,
+                            sizeof(float)),
+                0)
+          << label << " batch " << b << " row " << i;
+      EXPECT_EQ(got.prediction, want.prediction);
+    }
+  }
+}
+
+TEST(ApfgTest, ProcessBatchRowsMatchProcessPerTier) {
+  common::ThreadPool pool(4);
+  for (tensor::GemmIsa tier : SupportedTiers()) {
+    for (common::ThreadPool* p : {static_cast<common::ThreadPool*>(nullptr),
+                                  &pool}) {
+      tensor::ComputeContext ctx;
+      ctx.pool = p;
+      ctx.isa = tier;
+      ExpectProcessBatchRowsMatchProcess(
+          ctx, /*int8=*/false,
+          std::string(tensor::GemmIsaName(tier)) +
+              (p != nullptr ? " pool" : " serial"));
+    }
+  }
 }
 
 TEST(FeatureCacheTest, HitsOnRepeat) {

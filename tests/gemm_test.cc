@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -17,8 +18,10 @@
 #include "common/thread_pool.h"
 #include "nn/batch_split.h"
 #include "nn/conv2d.h"
+#include "nn/activations.h"
 #include "nn/conv3d.h"
 #include "nn/linear.h"
+#include "nn/sequential.h"
 #include "tensor/gemm.h"
 #include "tensor/tensor_ops.h"
 
@@ -379,6 +382,73 @@ TEST(GemmIsaTest, ParseComputePath) {
   EXPECT_FALSE(tensor::ParseComputePath(nullptr, &path, &isa));
   EXPECT_EQ(path, tensor::ComputePath::kGemm);
   EXPECT_EQ(isa, tensor::GemmIsa::kAvx2);
+}
+
+// ---- Row independence -----------------------------------------------------
+
+// Rows [lo, hi) of a 2-D tensor.
+tensor::Tensor Rows(const tensor::Tensor& x, int lo, int hi) {
+  const int d = x.dim(1);
+  tensor::Tensor out({hi - lo, d});
+  std::copy(x.data() + static_cast<size_t>(lo) * d,
+            x.data() + static_cast<size_t>(hi) * d, out.data());
+  return out;
+}
+
+// The Q-network's shape: state (feature + action prob + config one-hot +
+// position) -> 64 -> 64 -> one Q-value per configuration.
+std::unique_ptr<nn::Sequential> MakeMlp(int in_dim, common::Rng* rng) {
+  auto net = std::make_unique<nn::Sequential>();
+  net->Emplace<nn::Linear>(in_dim, 64, rng);
+  net->Emplace<nn::ReLU>();
+  net->Emplace<nn::Linear>(64, 64, rng);
+  net->Emplace<nn::ReLU>();
+  net->Emplace<nn::Linear>(64, 8, rng);
+  return net;
+}
+
+// Row i of an m-row inference forward must equal the one-row forward of
+// the same input bit for bit, for every m: the batched executor stacks the
+// active videos' states into one forward and relies on a row's answer not
+// depending on its batch-mates or on the batch size. m = 1..40 crosses every
+// register-tile remainder (4- and 6-row tiles) and, with a pool, the switch
+// from serial to pooled GEMM at kMinParallelMacs.
+void ExpectRowsIndependentOfBatch(const tensor::ComputeContext& ctx,
+                                  const std::string& label) {
+  constexpr int kInDim = 42, kMaxRows = 40;
+  common::Rng rng(83);
+  std::unique_ptr<nn::Sequential> net = MakeMlp(kInDim, &rng);
+  net->SetComputeContext(&ctx);
+  tensor::Tensor x = RandomTensor({kMaxRows, kInDim}, &rng);
+  std::vector<tensor::Tensor> single;
+  for (int i = 0; i < kMaxRows; ++i) {
+    single.push_back(net->Forward(Rows(x, i, i + 1), false));
+  }
+  for (int m = 1; m <= kMaxRows; ++m) {
+    tensor::Tensor y = net->Forward(Rows(x, 0, m), false);
+    for (int i = 0; i < m; ++i) {
+      const size_t d = single[static_cast<size_t>(i)].size();
+      EXPECT_EQ(std::memcmp(y.data() + i * d,
+                            single[static_cast<size_t>(i)].data(),
+                            d * sizeof(float)),
+                0)
+          << label << " m=" << m << " row " << i;
+    }
+  }
+}
+
+TEST(RowIndependenceTest, LinearStackRowsMatchSingleRowForwardPerTier) {
+  common::ThreadPool pool(4);
+  for (tensor::GemmIsa tier : SupportedTiers()) {
+    for (common::ThreadPool* p : {static_cast<common::ThreadPool*>(nullptr),
+                                  &pool}) {
+      tensor::ComputeContext ctx = GemmCtx(p);
+      ctx.isa = tier;
+      ExpectRowsIndependentOfBatch(
+          ctx, std::string(tensor::GemmIsaName(tier)) +
+                   (p != nullptr ? " pool" : " serial"));
+    }
+  }
 }
 
 // ---- Int8 quantized path ---------------------------------------------------
