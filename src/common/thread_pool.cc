@@ -1,5 +1,7 @@
 #include "common/thread_pool.h"
 
+#include <algorithm>
+
 namespace zeus::common {
 
 namespace {
@@ -62,17 +64,36 @@ void ThreadPool::WorkerLoop() {
 }
 
 void ParallelFor(ThreadPool* pool, int n, const std::function<void(int)>& fn) {
-  // Run inline when there is no pool to use — or when we *are* the pool:
-  // nested fan-out from a worker would block in Wait() forever.
+  // Run inline when there is no pool to use — or when we *are* the pool: a
+  // worker that blocked on its own fan-out could starve the tasks it waits
+  // for.
+  if (n <= 0) return;
   if (pool == nullptr || pool->num_threads() <= 1 ||
       ThreadPool::InWorkerThread()) {
     for (int i = 0; i < n; ++i) fn(i);
     return;
   }
-  for (int i = 0; i < n; ++i) {
-    pool->Submit([&fn, i] { fn(i); });
+  // At most one contiguous chunk per worker, and a completion count of this
+  // call's own: ThreadPool::Wait() would also wait for every other caller's
+  // tasks in the shared pool, which under steady load never goes idle.
+  const int chunks = std::min(n, pool->num_threads());
+  std::mutex mu;
+  std::condition_variable cv;
+  int remaining = chunks;
+  for (int c = 0; c < chunks; ++c) {
+    const int lo = static_cast<int>(static_cast<long long>(c) * n / chunks);
+    const int hi =
+        static_cast<int>(static_cast<long long>(c + 1) * n / chunks);
+    pool->Submit([&fn, &mu, &cv, &remaining, lo, hi] {
+      for (int i = lo; i < hi; ++i) fn(i);
+      // Notify under the lock: the caller cannot return (destroying mu and
+      // cv) until this task releases it.
+      std::lock_guard<std::mutex> lock(mu);
+      if (--remaining == 0) cv.notify_one();
+    });
   }
-  pool->Wait();
+  std::unique_lock<std::mutex> lock(mu);
+  cv.wait(lock, [&remaining] { return remaining == 0; });
 }
 
 }  // namespace zeus::common

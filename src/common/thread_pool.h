@@ -25,7 +25,8 @@ class ThreadPool {
   // Enqueues one task.
   void Submit(std::function<void()> task);
 
-  // Blocks until the queue is empty and all workers are idle.
+  // Blocks until the queue is empty and all workers are idle — including
+  // tasks other threads submitted.
   void Wait();
 
   int num_threads() const { return static_cast<int>(workers_.size()); }
@@ -48,8 +49,11 @@ class ThreadPool {
   bool stop_ = false;
 };
 
-// Runs fn(i) for i in [0, n) across the pool (or inline when pool is null
-// or single-threaded).
+// Runs fn(i) for i in [0, n) across the pool (or inline when pool is null,
+// single-threaded, or the caller is itself a pool worker). The range is
+// split into at most num_threads() contiguous chunks, and the call returns
+// as soon as its own chunks finish: tasks other callers submitted to the
+// same pool do not hold it up.
 void ParallelFor(ThreadPool* pool, int n, const std::function<void(int)>& fn);
 
 }  // namespace zeus::common

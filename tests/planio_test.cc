@@ -1,9 +1,14 @@
 // Tests for plan checkpointing (PlanIo) and the parallel feature
 // pre-extraction path.
 
+#include <chrono>
+#include <condition_variable>
 #include <filesystem>
 #include <fstream>
+#include <future>
+#include <mutex>
 #include <sstream>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -62,6 +67,59 @@ TEST(ThreadPoolTest, ParallelForInlineWithoutPool) {
   int sum = 0;
   common::ParallelFor(nullptr, 10, [&](int i) { sum += i; });
   EXPECT_EQ(sum, 45);
+}
+
+TEST(ThreadPoolTest, ParallelForCoversEveryIndexOnceForAnySize) {
+  for (int threads : {2, 3, 8}) {
+    common::ThreadPool pool(threads);
+    for (int n : {0, 1, 2, 7, 64}) {
+      std::vector<std::atomic<int>> hits(static_cast<size_t>(n));
+      common::ParallelFor(&pool, n,
+                          [&](int i) { hits[static_cast<size_t>(i)]++; });
+      for (auto& h : hits) EXPECT_EQ(h.load(), 1) << threads << " " << n;
+    }
+  }
+}
+
+// ParallelFor must return once its own work is done, even while another
+// caller's task in the same pool is still running. The other task is held
+// by a latch that opens only after the check, so the outcome does not
+// depend on timing; the bounded wait only turns a hang into a failure.
+TEST(ThreadPoolTest, ParallelForDoesNotWaitForOtherCallersTasks) {
+  common::ThreadPool pool(2);
+  std::mutex mu;
+  std::condition_variable cv;
+  bool started = false, released = false;
+  pool.Submit([&] {
+    std::unique_lock<std::mutex> lock(mu);
+    started = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return released; });
+  });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return started; });
+  }
+  std::atomic<int> sum{0};
+  std::promise<void> returned;
+  std::future<void> done = returned.get_future();
+  std::thread caller([&] {
+    common::ParallelFor(&pool, 10, [&](int i) { sum += i; });
+    returned.set_value();
+  });
+  const bool returned_first =
+      done.wait_for(std::chrono::seconds(60)) == std::future_status::ready;
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    EXPECT_FALSE(released);
+    released = true;
+  }
+  cv.notify_all();
+  caller.join();
+  pool.Wait();
+  EXPECT_TRUE(returned_first)
+      << "ParallelFor waited for another caller's blocked task";
+  EXPECT_EQ(sum.load(), 45);
 }
 
 TEST(FeatureCachePrecomputeTest, ParallelMatchesSerial) {
