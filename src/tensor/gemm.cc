@@ -234,17 +234,26 @@ void Sgemm(bool trans_a, bool trans_b, int m, int n, int k, float alpha,
 // must not run one libm lrintf per element.
 
 void QuantizePackA(const float* a, int lda, int m, int k, Int8Panels* out,
-                   const ComputeContext* ctx) {
+                   const ComputeContext* ctx, bool per_row_scale) {
   ZEUS_CHECK(a != nullptr && m >= 0 && k >= 0 && lda >= k);
   const GemmKernels& kern =
       KernelsFor(ResolveGemmIsa(EffectiveContext(ctx).isa));
+  std::vector<float> row_max(static_cast<size_t>(m));
   float maxabs = 0.0f;
   for (int r = 0; r < m; ++r) {
-    maxabs = std::max(maxabs,
-                      kern.maxabs(a + static_cast<size_t>(r) * lda, k));
+    row_max[static_cast<size_t>(r)] =
+        kern.maxabs(a + static_cast<size_t>(r) * lda, k);
+    maxabs = std::max(maxabs, row_max[static_cast<size_t>(r)]);
   }
   out->scale = maxabs / 127.0f;
-  const float inv = maxabs > 0.0f ? 127.0f / maxabs : 0.0f;
+  out->row_scales.clear();
+  if (per_row_scale) {
+    out->row_scales.resize(static_cast<size_t>(m));
+    for (int r = 0; r < m; ++r) {
+      out->row_scales[static_cast<size_t>(r)] =
+          row_max[static_cast<size_t>(r)] / 127.0f;
+    }
+  }
   out->rows = m;
   out->cols = k;
   out->k_pairs = (k + 1) / 2;
@@ -255,6 +264,8 @@ void QuantizePackA(const float* a, int lda, int m, int k, Int8Panels* out,
   std::vector<int16_t> qrow(k);
   int16_t* dst = out->data.data();
   for (int row = 0; row < m; ++row) {
+    const float mx = per_row_scale ? row_max[static_cast<size_t>(row)] : maxabs;
+    const float inv = mx > 0.0f ? 127.0f / mx : 0.0f;
     kern.quantize(a + static_cast<size_t>(row) * lda, k, inv, qrow.data());
     const int pr = row / kI8RowTile;
     const int r = row % kI8RowTile;
@@ -344,7 +355,13 @@ void QuantizedGemm(int m, int n, int k, const Int8Panels& a,
   ZEUS_CHECK(a.k_pairs == b.k_pairs);
   const ComputeContext& cc = EffectiveContext(ctx);
   const GemmKernels& kern = KernelsFor(ResolveGemmIsa(cc.isa));
-  const float scale = a.scale * b.scale;
+  // One dequant factor per C row: a per-tensor A repeats a.scale * b.scale.
+  std::vector<float> row_scale(static_cast<size_t>(m));
+  for (int i = 0; i < m; ++i) {
+    row_scale[static_cast<size_t>(i)] =
+        (a.row_scales.empty() ? a.scale : a.row_scales[static_cast<size_t>(i)]) *
+        b.scale;
+  }
   const int jpanels = (n + kI8ColTile - 1) / kI8ColTile;
 
   common::ThreadPool* pool = cc.pool;
@@ -352,8 +369,8 @@ void QuantizedGemm(int m, int n, int k, const Int8Panels& a,
   const int threads = pool != nullptr ? pool->num_threads() : 1;
   if (threads <= 1 || macs < kMinParallelMacs ||
       common::ThreadPool::InWorkerThread()) {
-    kern.i8gemm_range(m, n, a.k_pairs, 0, jpanels, scale, a.data.data(),
-                      b.data.data(), c, ldc);
+    kern.i8gemm_range(m, n, a.k_pairs, 0, jpanels, row_scale.data(),
+                      a.data.data(), b.data.data(), c, ldc);
     return;
   }
   // Contiguous column-panel chunks; integer accumulation is exact, so any
@@ -364,8 +381,8 @@ void QuantizedGemm(int m, int n, int k, const Int8Panels& a,
   common::ParallelFor(pool, chunks, [&](int idx) {
     const int lo = idx * per;
     const int hi = std::min(jpanels, lo + per);
-    kern.i8gemm_range(m, n, a.k_pairs, lo, hi, scale, a.data.data(),
-                      b.data.data(), c, ldc);
+    kern.i8gemm_range(m, n, a.k_pairs, lo, hi, row_scale.data(),
+                      a.data.data(), b.data.data(), c, ldc);
   });
 }
 

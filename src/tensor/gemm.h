@@ -144,8 +144,12 @@ void Sgemm(bool trans_a, bool trans_b, int m, int n, int k, float alpha,
 
 // ---- Int8 quantized GEMM ---------------------------------------------------
 //
-// Per-tensor symmetric quantization: q = round(x * 127 / maxabs(x)), one
-// fp32 scale per operand, no zero point. The packed operands interleave
+// Symmetric quantization: q = round(x * 127 / maxabs), no zero point.
+// maxabs is taken over the whole operand (one fp32 scale per tensor) or,
+// for an A operand packed with per_row_scale, over each row separately; the
+// int8 MatMul quantizes its A operand — the activations, one row per
+// sample — per row, so a row's result does not depend on what it is
+// batched with. The packed operands interleave
 // adjacent k-pairs as int16 so the micro-kernel is a single widening
 // multiply-add (pmaddwd) per pair: products and pair-sums fit int32
 // exactly, the k-loop accumulates in int32 (exact up to k <= 2^17 — far
@@ -158,16 +162,22 @@ void Sgemm(bool trans_a, bool trans_b, int m, int n, int k, float alpha,
 struct Int8Panels {
   std::vector<int16_t> data;  // k-pair-interleaved micro-panels
   float scale = 0.0f;         // maxabs / 127 (0 for an all-zero tensor)
+  // A only, when packed per row: row i's maxabs / 127. Empty when `scale`
+  // covers every row.
+  std::vector<float> row_scales;
   int rows = 0;               // logical op-shape rows (m for A, k for B)
   int cols = 0;               // logical op-shape cols (k for A, n for B)
   int k_pairs = 0;            // ceil(k / 2), zero-padded for odd k
 };
 
 // Quantizes and packs A (m x k row-major, lda >= k) into kI8RowTile-row
-// micro-panels for QuantizedGemm. ctx selects the (SIMD) quantize
-// primitives; the packed bytes are identical for every tier.
+// micro-panels for QuantizedGemm, with one scale for the whole tensor or,
+// when per_row_scale is set, one per row (at m = 1 the two coincide). ctx
+// selects the (SIMD) quantize primitives; the packed bytes are identical
+// for every tier.
 void QuantizePackA(const float* a, int lda, int m, int k, Int8Panels* out,
-                   const ComputeContext* ctx = nullptr);
+                   const ComputeContext* ctx = nullptr,
+                   bool per_row_scale = false);
 
 // Quantizes and packs op(B) (k x n; B is k x n when !trans_b, else n x k
 // with ldb its row stride) into kI8ColTile-column micro-panels.

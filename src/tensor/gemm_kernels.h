@@ -48,12 +48,13 @@ struct GemmKernels {
                                 const GemmBlocking& blk);
   // Int8 kernel over column-panel range [jp_begin, jp_end): for every
   // kI8RowTile-row panel of packed A and each B panel in range, accumulate
-  // k_pairs widening multiply-adds in int32 and write C = scale * acc
-  // (overwrite). Edge rows/columns are zero-padded in the packing and
-  // clipped at write-back.
+  // k_pairs widening multiply-adds in int32 and write row i of C as
+  // row_scale[i] * acc (overwrite; row_scale has m entries). Edge
+  // rows/columns are zero-padded in the packing and clipped at write-back.
   using I8GemmRangeFn = void (*)(int m, int n, int k_pairs, int jp_begin,
-                                 int jp_end, float scale, const int16_t* pa,
-                                 const int16_t* pb, float* c, int ldc);
+                                 int jp_end, const float* row_scale,
+                                 const int16_t* pa, const int16_t* pb,
+                                 float* c, int ldc);
 
   // max(|p[i]|) over a contiguous run. fp max is exact, so any lane order
   // gives the scalar answer.

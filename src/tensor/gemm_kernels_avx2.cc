@@ -28,10 +28,9 @@ void SgemmRangeAvx2(bool trans_a, bool trans_b, int i_begin, int i_end,
 // accumulates both products of the pair into int32 — exactly the scalar
 // reference arithmetic, so the result is bit-identical to it.
 void I8GemmRangeAvx2(int m, int n, int k_pairs, int jp_begin, int jp_end,
-                     float scale, const int16_t* pa, const int16_t* pb,
-                     float* c, int ldc) {
+                     const float* row_scale, const int16_t* pa,
+                     const int16_t* pb, float* c, int ldc) {
   const int rpanels = (m + kI8RowTile - 1) / kI8RowTile;
-  const __m256 vscale = _mm256_set1_ps(scale);
   for (int jp = jp_begin; jp < jp_end; ++jp) {
     const int cols = std::min(kI8ColTile, n - jp * kI8ColTile);
     const int16_t* bpanel =
@@ -70,7 +69,8 @@ void I8GemmRangeAvx2(int m, int n, int k_pairs, int jp_begin, int jp_end,
                                             {&acc10, &acc11},
                                             {&acc20, &acc21},
                                             {&acc30, &acc31}};
-      for (int r = 0; r < kI8RowTile; ++r) {
+      for (int r = 0; r < rows; ++r) {
+        const __m256 vscale = _mm256_set1_ps(row_scale[pr * kI8RowTile + r]);
         _mm256_store_ps(&tmp[r][0],
                         _mm256_mul_ps(vscale, _mm256_cvtepi32_ps(*accs[r][0])));
         _mm256_store_ps(&tmp[r][8],

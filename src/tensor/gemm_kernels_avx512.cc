@@ -110,10 +110,9 @@ void SgemmRangeAvx512(bool trans_a, bool trans_b, int i_begin, int i_end,
 // load; vpmaddwd accumulates each A row's broadcast k-pair — the same
 // exact integer arithmetic as the scalar reference, so bit-identical.
 void I8GemmRangeAvx512(int m, int n, int k_pairs, int jp_begin, int jp_end,
-                       float scale, const int16_t* pa, const int16_t* pb,
-                       float* c, int ldc) {
+                       const float* row_scale, const int16_t* pa,
+                       const int16_t* pb, float* c, int ldc) {
   const int rpanels = (m + kI8RowTile - 1) / kI8RowTile;
-  const __m512 vscale = _mm512_set1_ps(scale);
   for (int jp = jp_begin; jp < jp_end; ++jp) {
     const int cols = std::min(kI8ColTile, n - jp * kI8ColTile);
     const int16_t* bpanel =
@@ -144,6 +143,7 @@ void I8GemmRangeAvx512(int m, int n, int k_pairs, int jp_begin, int jp_end,
       for (int r = 0; r < rows; ++r) {
         float* crow = c + static_cast<size_t>(pr * kI8RowTile + r) * ldc +
                       static_cast<size_t>(jp) * kI8ColTile;
+        const __m512 vscale = _mm512_set1_ps(row_scale[pr * kI8RowTile + r]);
         _mm512_mask_storeu_ps(
             crow, mask,
             _mm512_mul_ps(vscale, _mm512_cvtepi32_ps(*accs[r])));

@@ -209,10 +209,11 @@ void SgemmRangeT(bool trans_a, bool trans_b, int i_begin, int i_end,
 // kI8RowTile + r) * 2 + {0,1}]; B panel jp, pair p2, column c =>
 // pb[((jp*k_pairs + p2) * kI8ColTile + c) * 2 + {0,1}]. All products and
 // pair sums are exact in int32, so any accumulation order gives the same
-// bits; C is overwritten with scale * acc.
+// bits; row i of C is overwritten with row_scale[i] * acc.
 inline void I8GemmRangeScalar(int m, int n, int k_pairs, int jp_begin,
-                              int jp_end, float scale, const int16_t* pa,
-                              const int16_t* pb, float* c, int ldc) {
+                              int jp_end, const float* row_scale,
+                              const int16_t* pa, const int16_t* pb, float* c,
+                              int ldc) {
   const int rpanels = (m + kI8RowTile - 1) / kI8RowTile;
   for (int jp = jp_begin; jp < jp_end; ++jp) {
     const int cols = std::min(kI8ColTile, n - jp * kI8ColTile);
@@ -240,6 +241,7 @@ inline void I8GemmRangeScalar(int m, int n, int k_pairs, int jp_begin,
         float* crow =
             c + static_cast<size_t>(pr * kI8RowTile + r) * ldc +
             static_cast<size_t>(jp) * kI8ColTile;
+        const float scale = row_scale[pr * kI8RowTile + r];
         for (int col = 0; col < cols; ++col) {
           crow[col] = scale * static_cast<float>(acc[r][col]);
         }

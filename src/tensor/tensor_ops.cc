@@ -38,11 +38,12 @@ Tensor MatMulDispatch(bool trans_a, bool trans_b, int m, int n, int k,
   if (cc.path == ComputePath::kReference) {
     ReferenceGemm(trans_a, trans_b, m, n, k, a.data(), b.data(), out.data());
   } else if (cc.path == ComputePath::kInt8 && !trans_a) {
-    // Quantize both operands per call (per-tensor symmetric), accumulate in
-    // int32, dequantize at write-back. See the error-bound note in
-    // tensor_ops.h. trans_a (backward-only shape) falls through to fp32.
+    // Quantize both operands per call (A per row, B per tensor, symmetric),
+    // accumulate in int32, dequantize at write-back. See the error-bound
+    // note in tensor_ops.h. trans_a (backward-only shape) falls through to
+    // fp32.
     Int8Panels pa, pb;
-    QuantizePackA(a.data(), k, m, k, &pa, &cc);
+    QuantizePackA(a.data(), k, m, k, &pa, &cc, /*per_row_scale=*/true);
     QuantizePackB(b.data(), trans_b ? k : n, trans_b, k, n, &pb, &cc);
     QuantizedGemm(m, n, k, pa, pb, out.data(), n, &cc);
   } else {

@@ -10,7 +10,7 @@ namespace zeus::tensor {
 // Matrix products. All three variants dispatch on the compute context
 // (ctx, or GlobalComputeContext() when null): ComputePath::kGemm runs the
 // blocked parallel kernel in tensor/gemm.h, kReference a naive triple loop,
-// kInt8 the symmetric per-tensor quantized kernel (below).
+// kInt8 the symmetric quantized kernel (below).
 //
 // Accumulation policy (unified across variants and paths): partial sums are
 // kept in float. The fp32 paths sum in different orders (the GEMM path by
@@ -19,12 +19,16 @@ namespace zeus::tensor {
 // 1e-4. Each path on its own is deterministic — the GEMM path bit-exactly
 // so across thread counts.
 //
-// kInt8 error bound: each operand is quantized symmetrically per tensor
+// kInt8 error bound: A is quantized symmetrically per row and B per tensor
 // (scale = maxabs / 127, round-to-nearest), so each element carries at most
 // half a quantization step of error. For C = A @ B this bounds each output
-// element by roughly
-//   k * Amax * Bmax * (0.5/127 + 0.5/127 + 0.25/127^2) ~= 0.0079 * k * Amax * Bmax
-// where Amax/Bmax are the per-tensor max-abs values. The int32 accumulation
+// element of row i by roughly
+//   k * Amax_i * Bmax * (0.5/127 + 0.5/127 + 0.25/127^2)
+//     ~= 0.0079 * k * Amax_i * Bmax
+// where Amax_i is row i's max-abs value and Bmax B's. Per-row A scales make
+// row i of an m-row product equal the one-row product of row i bit for bit
+// (one row per sample: batching never changes a sample's answer); at m = 1
+// the scale is the per-tensor one. The int32 accumulation
 // itself is exact (vpmaddwd pair products <= 2*127^2; no overflow up to
 // k ~ 2^17), so the int8 path is bit-identical across ISA tiers AND thread
 // counts — all rounding happens at quantize and the final dequant multiply.

@@ -242,6 +242,22 @@ TEST(ApfgTest, ProcessBatchRowsMatchProcessPerTier) {
   }
 }
 
+TEST(ApfgInt8Test, ProcessBatchRowsMatchProcessPerTier) {
+  common::ThreadPool pool(4);
+  for (tensor::GemmIsa tier : SupportedTiers()) {
+    for (common::ThreadPool* p : {static_cast<common::ThreadPool*>(nullptr),
+                                  &pool}) {
+      tensor::ComputeContext ctx;
+      ctx.pool = p;
+      ctx.isa = tier;
+      ExpectProcessBatchRowsMatchProcess(
+          ctx, /*int8=*/true,
+          std::string("int8 ") + tensor::GemmIsaName(tier) +
+              (p != nullptr ? " pool" : " serial"));
+    }
+  }
+}
+
 TEST(FeatureCacheTest, HitsOnRepeat) {
   common::Rng rng(11);
   Apfg apfg(ApfgTrainOptions{}, true, &rng);

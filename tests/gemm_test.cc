@@ -529,6 +529,38 @@ TEST(Int8GemmTest, BitIdenticalAcrossTiersAndThreadCounts) {
   }
 }
 
+// The int8 path quantizes each activation row with its own scale, so the
+// row-independence contract holds there too (in every tier: the quantize
+// primitives are per tier even though the integer kernel is exact).
+TEST(RowIndependenceTest, Int8LinearStackRowsMatchSingleRowForwardPerTier) {
+  common::ThreadPool pool(4);
+  for (tensor::GemmIsa tier : SupportedTiers()) {
+    for (common::ThreadPool* p : {static_cast<common::ThreadPool*>(nullptr),
+                                  &pool}) {
+      tensor::ComputeContext ctx = Int8Ctx(p);
+      ctx.isa = tier;
+      ExpectRowsIndependentOfBatch(
+          ctx, std::string("int8 ") + tensor::GemmIsaName(tier) +
+                   (p != nullptr ? " pool" : " serial"));
+    }
+  }
+}
+
+// At m = 1 a per-row scale is the per-tensor scale, so the one-row int8
+// product is the same as quantizing the row as a whole tensor.
+TEST(Int8GemmTest, OneRowProductUsesTheTensorScale) {
+  common::Rng rng(79);
+  tensor::Tensor a = RandomTensor({1, 37}, &rng);
+  tensor::Tensor b = RandomTensor({37, 29}, &rng);
+  tensor::Int8Panels pa, pb;
+  tensor::QuantizePackA(a.data(), 37, 1, 37, &pa);
+  tensor::QuantizePackB(b.data(), 29, false, 37, 29, &pb);
+  tensor::Tensor c({1, 29});
+  tensor::QuantizedGemm(1, 29, 37, pa, pb, c.data(), 29);
+  tensor::ComputeContext int8 = Int8Ctx();
+  EXPECT_EQ(tensor::MaxAbsDiff(tensor::MatMul(a, b, &int8), c), 0.0f);
+}
+
 // MatMulTransposedA is a backward-pass shape: kInt8 must silently fall back
 // to fp32 there (gradients are never quantized), so it matches kGemm
 // bit-exactly, not merely within the quantization bound.
