@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "tensor/tensor_ops.h"
 #include "video/decoder.h"
 
 namespace zeus::apfg {
@@ -83,6 +84,77 @@ std::shared_ptr<const Apfg::Output> FeatureCache::Get(
   }
   ++misses_;
   return InsertLocked(key, std::move(out));
+}
+
+std::vector<std::shared_ptr<const Apfg::Output>> FeatureCache::GetBatch(
+    const std::vector<Segment>& segments, const video::DecodeSpec& spec,
+    int max_batch) {
+  ZEUS_CHECK(max_batch >= 1);
+  const size_t n = segments.size();
+  std::vector<std::shared_ptr<const Apfg::Output>> out(n);
+  std::vector<Key> keys;
+  keys.reserve(n);
+  for (const Segment& s : segments) {
+    keys.push_back(MakeKey(*s.video, s.start_frame, spec));
+  }
+  // Hits resolve now; each distinct missing key is computed once.
+  std::vector<size_t> misses;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (size_t i = 0; i < n; ++i) {
+      auto it = cache_.find(keys[i]);
+      if (it != cache_.end()) {
+        ++hits_;
+        lru_.splice(lru_.begin(), lru_, it->second.pos);
+        out[i] = it->second.out;
+      } else if (std::none_of(misses.begin(), misses.end(),
+                              [&](size_t j) { return keys[j] == keys[i]; })) {
+        misses.push_back(i);
+      }
+    }
+  }
+  // Misses: decode, stack and extract in batches outside the lock.
+  std::vector<std::shared_ptr<const Apfg::Output>> computed(misses.size());
+  for (size_t lo = 0; lo < misses.size(); lo += static_cast<size_t>(max_batch)) {
+    const size_t hi =
+        std::min(misses.size(), lo + static_cast<size_t>(max_batch));
+    std::vector<tensor::Tensor> decoded;
+    decoded.reserve(hi - lo);
+    for (size_t m = lo; m < hi; ++m) {
+      const Segment& s = segments[misses[m]];
+      decoded.push_back(
+          video::SegmentDecoder::Decode(*s.video, s.start_frame, spec));
+    }
+    std::vector<Apfg::Output> rows =
+        apfg_->ProcessBatch(tensor::Stack(decoded), spec);
+    for (size_t m = lo; m < hi; ++m) {
+      computed[m] = std::make_shared<Apfg::Output>(std::move(rows[m - lo]));
+    }
+  }
+  std::lock_guard<std::mutex> lock(mu_);
+  for (size_t m = 0; m < misses.size(); ++m) {
+    const Key& key = keys[misses[m]];
+    auto it = cache_.find(key);
+    if (it != cache_.end()) {
+      ++hits_;  // lost a concurrent race; the first insert wins
+      lru_.splice(lru_.begin(), lru_, it->second.pos);
+      out[misses[m]] = it->second.out;
+    } else {
+      ++misses_;
+      out[misses[m]] = InsertLocked(key, std::move(computed[m]));
+    }
+  }
+  // Repeats of a key that missed earlier in this call: hits on its value.
+  for (size_t i = 0; i < n; ++i) {
+    if (out[i] != nullptr) continue;
+    ++hits_;
+    for (size_t j : misses) {
+      if (keys[j] == keys[i]) out[i] = out[j];
+    }
+    auto it = cache_.find(keys[i]);
+    if (it != cache_.end()) lru_.splice(lru_.begin(), lru_, it->second.pos);
+  }
+  return out;
 }
 
 void FeatureCache::Precompute(const video::Video& video,

@@ -51,11 +51,29 @@ class FeatureCache {
   // Thread-safe: the map is mutex-guarded while the miss-path APFG
   // inference runs outside the lock; concurrent misses on one key compute
   // redundantly and the first insert wins. APFG inference is
-  // deterministic, so results are identical to serial access — this is
-  // what lets BatchedExecutor step its environments in parallel.
+  // deterministic, so results are identical to serial access.
   std::shared_ptr<const Apfg::Output> Get(const video::Video& video,
                                           int start_frame,
                                           const video::DecodeSpec& spec);
+
+  // One segment of a batched lookup: `video` from `start_frame`.
+  struct Segment {
+    const video::Video* video = nullptr;
+    int start_frame = 0;
+  };
+
+  // Batched Get: the APFG output for every segment under one decode spec
+  // (index-parallel, never null). The misses are decoded, stacked and run
+  // through Apfg::ProcessBatch in forwards of at most `max_batch` segments
+  // — one launch per batch, where a Get per segment would run one each.
+  // ProcessBatch rows equal Process bit for bit, so the values are those
+  // Get would return, and the hit, miss and eviction counters read exactly
+  // as after a Get per segment in order (a segment repeated within the call
+  // is a hit after its first miss). Thread-safe like Get: inference runs
+  // outside the lock and the first insert of a key wins.
+  std::vector<std::shared_ptr<const Apfg::Output>> GetBatch(
+      const std::vector<Segment>& segments, const video::DecodeSpec& spec,
+      int max_batch);
 
   // Eagerly computes features for every position a traversal could visit:
   // all starts that are multiples of `alignment`. Bounded by `max_entries`.

@@ -2,57 +2,81 @@
 
 #include <map>
 #include <memory>
-#include <utility>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "rl/env.h"
-#include "tensor/gemm.h"
+#include "tensor/tensor.h"
 
 namespace zeus::core {
+
+double BatchedExecutor::GroupCost(int config_id, int k) const {
+  const Configuration& c = plan_->rl_space.config(config_id);
+  double cost = 0.0;
+  for (int remaining = k; remaining > 0; remaining -= opts_.max_batch) {
+    cost += plan_->cost_model.BatchedSegmentCost(
+        c.nominal_resolution, c.nominal_segment_length,
+        std::min(remaining, opts_.max_batch));
+  }
+  return cost;
+}
 
 RunResult BatchedExecutor::Localize(
     const std::vector<const video::Video*>& videos) {
   common::WallTimer timer;
   RunResult result;
-
-  // One single-video environment per input video, stepped in lockstep.
-  std::vector<std::unique_ptr<rl::VideoEnv>> envs;
-  envs.reserve(videos.size());
-  for (const video::Video* v : videos) {
-    envs.push_back(std::make_unique<rl::VideoEnv>(
-        std::vector<const video::Video*>{v}, &plan_->rl_space,
-        plan_->cache.get(), plan_->targets, plan_->env_opts));
-  }
-
-  // Charges a group of k same-configuration invocations as batched
-  // launches of at most max_batch each.
-  auto charge_group = [&](int config_id, int k) {
-    const Configuration& c = plan_->rl_space.config(config_id);
-    int remaining = k;
-    while (remaining > 0) {
-      int batch = std::min(remaining, opts_.max_batch);
-      result.gpu_seconds += plan_->cost_model.BatchedSegmentCost(
-          c.nominal_resolution, c.nominal_segment_length, batch);
-      remaining -= batch;
-    }
-    result.invocations += k;
-  };
-
-  // Round 0: every video's forced initial invocation uses the slowest
-  // configuration (§3), so they all batch together.
   if (cancel_.cancelled()) {
     result.cancelled = true;
     result.masks.resize(videos.size());
     result.wall_seconds = timer.ElapsedSeconds();
     return result;
   }
-  int slowest = plan_->rl_space.SlowestId();
-  for (auto& env : envs) env->ResetSequential();
-  charge_group(slowest, static_cast<int>(envs.size()));
+  apfg::FeatureCache* cache = plan_->cache.get();
 
-  // Lockstep rounds over the active environments.
+  // One single-video environment per input video, stepped in lockstep.
+  std::vector<std::unique_ptr<rl::VideoEnv>> envs;
+  envs.reserve(videos.size());
+  for (const video::Video* v : videos) {
+    envs.push_back(std::make_unique<rl::VideoEnv>(
+        std::vector<const video::Video*>{v}, &plan_->rl_space, cache,
+        plan_->targets, plan_->env_opts));
+  }
+
+  // Runs one same-configuration group: its segments' features come from
+  // one batched cache lookup (ceil(k / max_batch) extractor forwards for
+  // the misses), charged as that many batched launches, and each member
+  // then steps on its own output.
+  std::vector<apfg::FeatureCache::Segment> segments;
+  auto run_group = [&](int config_id, const std::vector<rl::VideoEnv*>& group,
+                       bool reset) {
+    segments.clear();
+    for (const rl::VideoEnv* env : group) {
+      segments.push_back({&env->next_video(), env->next_start()});
+    }
+    const auto outs = cache->GetBatch(
+        segments, plan_->rl_space.config(config_id).spec, opts_.max_batch);
+    for (size_t i = 0; i < group.size(); ++i) {
+      if (reset) {
+        group[i]->ResetSequential(*outs[i]);
+      } else {
+        group[i]->Step(config_id, *outs[i]);
+      }
+    }
+    const int k = static_cast<int>(group.size());
+    result.gpu_seconds += GroupCost(config_id, k);
+    result.invocations += k;
+  };
+
+  // Round 0: every video's forced initial invocation uses the slowest
+  // configuration (§3), so they all batch together.
+  std::vector<rl::VideoEnv*> active;
+  for (auto& env : envs) active.push_back(env.get());
+  run_group(plan_->rl_space.SlowestId(), active, /*reset=*/true);
+
+  // Lockstep rounds over the active environments. The state batch and the
+  // action vector are reused across rounds.
+  tensor::Tensor states;
+  std::vector<int> actions;
   while (true) {
     // Cancellation point: a Cancel() lands before the next round starts, so
     // the abort latency is bounded by one lockstep round.
@@ -60,13 +84,23 @@ RunResult BatchedExecutor::Localize(
       result.cancelled = true;
       break;
     }
-    std::map<int, std::vector<rl::VideoEnv*>> groups;
+    active.clear();
     for (auto& env : envs) {
-      if (env->done()) continue;
-      int action = plan_->agent->GreedyAction(env->state());
-      groups[action].push_back(env.get());
+      if (!env->done()) active.push_back(env.get());
     }
-    if (groups.empty()) break;
+    if (active.empty()) break;
+    // One Q-network forward over every active state.
+    const int dim = static_cast<int>(active[0]->state().size());
+    states.Resize({static_cast<int>(active.size()), dim});
+    for (size_t i = 0; i < active.size(); ++i) {
+      std::copy(active[i]->state().begin(), active[i]->state().end(),
+                states.data() + i * static_cast<size_t>(dim));
+    }
+    plan_->agent->GreedyActions(states, &actions);
+    std::map<int, std::vector<rl::VideoEnv*>> groups;
+    for (size_t i = 0; i < active.size(); ++i) {
+      groups[actions[i]].push_back(active[i]);
+    }
     if (gpu_budget_ > 0.0) {
       // Budget point: the cost model prices the whole upcoming round; if
       // it cannot fit the remaining budget, stop here — the same round
@@ -74,39 +108,16 @@ RunResult BatchedExecutor::Localize(
       // never set a budget) execute an identical schedule.
       double round_cost = 0.0;
       for (const auto& [config_id, members] : groups) {
-        const Configuration& c = plan_->rl_space.config(config_id);
-        int remaining = static_cast<int>(members.size());
-        while (remaining > 0) {
-          const int batch = std::min(remaining, opts_.max_batch);
-          round_cost += plan_->cost_model.BatchedSegmentCost(
-              c.nominal_resolution, c.nominal_segment_length, batch);
-          remaining -= batch;
-        }
+        round_cost += GroupCost(config_id, static_cast<int>(members.size()));
       }
       if (result.gpu_seconds + round_cost > gpu_budget_) {
         result.budget_exhausted = true;
         break;
       }
     }
-    // The environments are independent single-video traversals sharing only
-    // the thread-safe feature cache, so the whole round — every (env,
-    // config) pair across all groups, not per group, which would serialize
-    // rounds of many small groups — steps in one parallel fan-out. Each env
-    // mutates only its own state, so the result is byte-identical to
-    // sequential stepping. Cost accounting stays sequential (and step-order
-    // independent): it only needs the group sizes.
-    common::ThreadPool* pool = opts_.step_pool != nullptr
-                                   ? opts_.step_pool
-                                   : tensor::GlobalComputeContext().pool;
-    std::vector<std::pair<rl::VideoEnv*, int>> round;
-    for (auto& [config_id, members] : groups) {
-      charge_group(config_id, static_cast<int>(members.size()));
-      for (rl::VideoEnv* env : members) round.emplace_back(env, config_id);
+    for (const auto& [config_id, members] : groups) {
+      run_group(config_id, members, /*reset=*/false);
     }
-    common::ParallelFor(pool, static_cast<int>(round.size()), [&round](int i) {
-      round[static_cast<size_t>(i)].first->Step(
-          round[static_cast<size_t>(i)].second);
-    });
   }
 
   // Collect masks and per-config frame accounting from the environments.

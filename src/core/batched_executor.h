@@ -4,7 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "core/executor.h"
 #include "core/localizer.h"
 #include "core/query_planner.h"
@@ -15,25 +14,24 @@ namespace zeus::core {
 // in §6.4: the sequential executor cannot batch within one video (each
 // decision depends on the previous segment's ProxyFeature), but across
 // videos the per-video traversals are independent, so same-configuration
-// invocations from different videos can share one GPU launch.
+// invocations from different videos can share one launch.
 //
 // The executor runs one traversal per video in lockstep rounds. Each round
-// collects the agent's greedy configuration choice for every still-active
-// video, groups the choices by configuration, and charges each group to the
-// cost model as ceil(k / max_batch) batched launches instead of k
-// singleton launches. Decisions, predictions and masks are bit-identical
-// to running QueryExecutor on each video separately — batching changes the
-// cost accounting, never the plan semantics.
+// stacks the still-active videos' states into one batch and runs one
+// Q-network forward for all of their greedy configuration choices, groups
+// the choices by configuration, and fetches each group's segments with one
+// FeatureCache::GetBatch: the group's cache misses are extracted in
+// ceil(k / max_batch) batched APFG forwards — the launches the cost model
+// charges — instead of k singleton ones. The environments then step inline;
+// parallelism lives inside the batched forwards (Conv3d batch split and the
+// SGEMM). Every batched forward is row-independent bit for bit, so
+// decisions, predictions and masks are identical to running QueryExecutor
+// on each video separately.
 class BatchedExecutor : public Localizer {
  public:
   struct Options {
     // Maximum invocations fused into one launch (GPU memory bound).
     int max_batch = 16;
-    // Pool for stepping a round's same-configuration group members
-    // concurrently (the environments are independent and the feature cache
-    // is thread-safe, so results are identical to sequential stepping).
-    // nullptr falls back to tensor::GlobalComputeContext().pool.
-    common::ThreadPool* step_pool = nullptr;
   };
 
   BatchedExecutor(const QueryPlan* plan, const Options& opts)
@@ -47,6 +45,10 @@ class BatchedExecutor : public Localizer {
   const Options& options() const { return opts_; }
 
  private:
+  // Modeled cost of k same-configuration invocations: ceil(k / max_batch)
+  // batched launches of at most max_batch each.
+  double GroupCost(int config_id, int k) const;
+
   const QueryPlan* plan_;
   Options opts_;
 };

@@ -25,17 +25,43 @@ int DqnAgent::SelectAction(const std::vector<float>& state) {
   return GreedyAction(state);
 }
 
+namespace {
+
+// Index of the first maximum of row `row` of a {m, n} tensor.
+int RowArgmax(const tensor::Tensor& q, int row) {
+  const int n = q.dim(1);
+  const float* r = q.data() + static_cast<size_t>(row) * n;
+  return static_cast<int>(std::max_element(r, r + n) - r);
+}
+
+}  // namespace
+
+tensor::Tensor DqnAgent::InferQ(const tensor::Tensor& states) {
+  ZEUS_CHECK(states.ndim() == 2 && states.dim(1) == opts_.state_dim);
+  return online_->Forward(states, /*train=*/false);
+}
+
+tensor::Tensor DqnAgent::InferQ(const std::vector<float>& state) {
+  ZEUS_CHECK(static_cast<int>(state.size()) == opts_.state_dim);
+  return InferQ(tensor::Tensor::FromData({1, opts_.state_dim},
+                                         std::vector<float>(state)));
+}
+
 int DqnAgent::GreedyAction(const std::vector<float>& state) {
-  std::vector<float> q = QValues(state);
-  return static_cast<int>(std::max_element(q.begin(), q.end()) - q.begin());
+  return RowArgmax(InferQ(state), 0);
+}
+
+void DqnAgent::GreedyActions(const tensor::Tensor& states,
+                             std::vector<int>* actions) {
+  const tensor::Tensor q = InferQ(states);
+  actions->resize(static_cast<size_t>(q.dim(0)));
+  for (int i = 0; i < q.dim(0); ++i) {
+    (*actions)[static_cast<size_t>(i)] = RowArgmax(q, i);
+  }
 }
 
 std::vector<float> DqnAgent::QValues(const std::vector<float>& state) {
-  ZEUS_CHECK(static_cast<int>(state.size()) == opts_.state_dim);
-  tensor::Tensor s = tensor::Tensor::FromData({1, opts_.state_dim},
-                                              std::vector<float>(state));
-  tensor::Tensor q = online_->Forward(s, /*train=*/false);
-  return q.vec();
+  return InferQ(state).vec();
 }
 
 float DqnAgent::TrainStep(ReplayBuffer& buffer) {

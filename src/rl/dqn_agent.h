@@ -2,11 +2,13 @@
 #define ZEUS_RL_DQN_AGENT_H_
 
 #include <memory>
+#include <vector>
 
 #include "common/rng.h"
 #include "nn/optimizer.h"
 #include "rl/qnetwork.h"
 #include "rl/replay_buffer.h"
+#include "tensor/tensor.h"
 
 namespace zeus::rl {
 
@@ -51,6 +53,11 @@ class DqnAgent {
   // Pure greedy action (inference).
   int GreedyAction(const std::vector<float>& state);
 
+  // Greedy action for every row of a {m, state_dim} batch, from one
+  // Q-network forward; (*actions)[i] is GreedyAction of row i (the forward
+  // is row-independent bit for bit, so batching never changes an action).
+  void GreedyActions(const tensor::Tensor& states, std::vector<int>* actions);
+
   // Q-values for a single state.
   std::vector<float> QValues(const std::vector<float>& state);
 
@@ -74,6 +81,10 @@ class DqnAgent {
   common::Status Load(const std::string& path);
 
  private:
+  // The one inference path: {m, state_dim} states -> {m, num_actions}.
+  tensor::Tensor InferQ(const tensor::Tensor& states);
+  tensor::Tensor InferQ(const std::vector<float>& state);
+
   Options opts_;
   common::Rng rng_;
   std::unique_ptr<QNetwork> online_;

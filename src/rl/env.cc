@@ -34,15 +34,20 @@ int VideoEnv::state_dim() const {
 
 void VideoEnv::Reset(common::Rng* rng) {
   rng->Shuffle(&order_);
-  ResetCommon();
+  ResetCommon(nullptr);
 }
 
 void VideoEnv::ResetSequential() {
   for (size_t i = 0; i < order_.size(); ++i) order_[i] = static_cast<int>(i);
-  ResetCommon();
+  ResetCommon(nullptr);
 }
 
-void VideoEnv::ResetCommon() {
+void VideoEnv::ResetSequential(const apfg::Apfg::Output& first) {
+  for (size_t i = 0; i < order_.size(); ++i) order_[i] = static_cast<int>(i);
+  ResetCommon(&first);
+}
+
+void VideoEnv::ResetCommon(const apfg::Apfg::Output* first) {
   order_pos_ = 0;
   position_ = 0;
   done_ = false;
@@ -52,16 +57,26 @@ void VideoEnv::ResetCommon() {
   for (const video::Video* v : videos_) {
     masks_.emplace_back(static_cast<size_t>(v->num_frames()), 0);
   }
-  ForcedInitialStep();
+  if (first == nullptr) {
+    ForcedInitialStep();
+  } else {
+    bool prediction = false;
+    ProcessSegment(initial_config_, *first, &prediction);
+  }
 }
 
-std::pair<int, int> VideoEnv::ProcessSegment(int config_id, bool* prediction) {
+std::shared_ptr<const apfg::Apfg::Output> VideoEnv::Fetch(
+    int config_id) const {
+  return cache_->Get(next_video(), position_, space_->config(config_id).spec);
+}
+
+std::pair<int, int> VideoEnv::ProcessSegment(int config_id,
+                                             const apfg::Apfg::Output& out,
+                                             bool* prediction) {
   const int vi = order_[order_pos_];
   const video::Video& v = *videos_[static_cast<size_t>(vi)];
   const core::Configuration& c = space_->config(config_id);
 
-  const auto out_ptr = cache_->Get(v, position_, c.spec);
-  const apfg::Apfg::Output& out = *out_ptr;
   const int start = position_;
   const int end = std::min(v.num_frames(), position_ + c.CoveredFrames());
   invocations_.emplace_back(config_id, end - start);
@@ -92,17 +107,23 @@ std::pair<int, int> VideoEnv::ProcessSegment(int config_id, bool* prediction) {
 
 void VideoEnv::ForcedInitialStep() {
   bool prediction = false;
-  ProcessSegment(initial_config_, &prediction);
+  ProcessSegment(initial_config_, *Fetch(initial_config_), &prediction);
 }
 
 VideoEnv::StepResult VideoEnv::Step(int config_id) {
+  ZEUS_CHECK(!done_);
+  return Step(config_id, *Fetch(config_id));
+}
+
+VideoEnv::StepResult VideoEnv::Step(int config_id,
+                                    const apfg::Apfg::Output& out) {
   StepResult res;
   ZEUS_CHECK(!done_);
   const int vi = order_[order_pos_];
   const video::Video& v = *videos_[static_cast<size_t>(vi)];
 
   bool prediction = false;
-  auto [start, end] = ProcessSegment(config_id, &prediction);
+  auto [start, end] = ProcessSegment(config_id, out, &prediction);
   res.video_index = vi;
   res.window_start = start;
   res.window_end = end;

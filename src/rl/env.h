@@ -1,6 +1,7 @@
 #ifndef ZEUS_RL_ENV_H_
 #define ZEUS_RL_ENV_H_
 
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -62,6 +63,22 @@ class VideoEnv {
   // Applies configuration `config_id` to the next segment.
   StepResult Step(int config_id);
 
+  // The segment the next invocation processes: the forced first segment
+  // after ResetSequential (video 0 from frame 0), then the one Step reads.
+  const video::Video& next_video() const {
+    ZEUS_CHECK(order_pos_ < order_.size());
+    return *videos_[static_cast<size_t>(order_[order_pos_])];
+  }
+  int next_start() const { return position_; }
+
+  // Forms for a caller that fetched the next segment's APFG output itself
+  // (BatchedExecutor, via FeatureCache::GetBatch): `out` must be the
+  // cache's output for next_video() from next_start() under the slowest
+  // configuration (reset) or `config_id` (step). A step that moves on to a
+  // further video still fetches that video's forced segment from the cache.
+  void ResetSequential(const apfg::Apfg::Output& first);
+  StepResult Step(int config_id, const apfg::Apfg::Output& out);
+
   bool done() const { return done_; }
 
   // Prediction masks recorded during the current episode (index-parallel to
@@ -85,17 +102,22 @@ class VideoEnv {
   }
 
  private:
-  // Processes the segment at the current position under `config_id`,
-  // recording prediction, invocation, and the new state; advances the
-  // position. Returns the covered window [start, end).
-  std::pair<int, int> ProcessSegment(int config_id, bool* prediction);
+  // The cache's output for the next segment under `config_id`.
+  std::shared_ptr<const apfg::Apfg::Output> Fetch(int config_id) const;
+
+  // Records `out` — the output for the segment at the current position
+  // under `config_id` — as prediction, invocation and the new state;
+  // advances the position. Returns the covered window [start, end).
+  std::pair<int, int> ProcessSegment(int config_id,
+                                     const apfg::Apfg::Output& out,
+                                     bool* prediction);
 
   // Forced slowest-config invocation at the start of the current video.
   void ForcedInitialStep();
 
   // Shared Reset body: clears episode state and performs the forced first
-  // invocation under the already-set `order_`.
-  void ResetCommon();
+  // invocation under the already-set `order_`, on `first` when given.
+  void ResetCommon(const apfg::Apfg::Output* first);
 
   std::vector<const video::Video*> videos_;
   const core::ConfigurationSpace* space_;

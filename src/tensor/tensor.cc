@@ -67,6 +67,12 @@ size_t Tensor::Offset(std::initializer_list<int> idx) const {
   return off;
 }
 
+void Tensor::Resize(const std::vector<int>& new_shape) {
+  shape_ = new_shape;
+  data_.resize(ShapeVolume(shape_));
+  ComputeStrides();
+}
+
 Tensor Tensor::Reshape(std::vector<int> new_shape) const {
   ZEUS_CHECK(ShapeVolume(new_shape) == data_.size());
   Tensor t;

@@ -66,6 +66,12 @@ class Tensor {
   // of identical volume.
   Tensor Reshape(std::vector<int> new_shape) const;
 
+  // Gives this tensor a new shape in place, growing or shrinking its
+  // storage; element values are unspecified afterwards. Shrinking keeps the
+  // allocation, so a buffer refilled each round stops allocating once it
+  // has seen its largest shape.
+  void Resize(const std::vector<int>& new_shape);
+
   // Fill / scale in place.
   void Fill(float v);
   void Scale(float v);

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "apfg/feature_cache.h"
 #include "common/rng.h"
 #include "core/configuration.h"
@@ -132,6 +135,37 @@ TEST(DqnAgentTest, GreedyIsArgmaxOfQValues) {
   for (int a = 1; a < 4; ++a)
     if (q[static_cast<size_t>(a)] > q[static_cast<size_t>(best)]) best = a;
   EXPECT_EQ(agent.SelectAction(s), best);
+}
+
+// One forward over m stacked states picks, row for row, the action a
+// one-state GreedyAction picks, for every batch size the lockstep executor
+// can produce.
+TEST(DqnAgentTest, GreedyActionsMatchGreedyActionPerRow) {
+  common::Rng rng(5);
+  DqnAgent::Options opts;
+  opts.state_dim = 13;
+  opts.num_actions = 6;
+  DqnAgent agent(opts, &rng);
+  std::vector<std::vector<float>> rows(24, std::vector<float>(13));
+  for (auto& row : rows) {
+    for (float& x : row) x = static_cast<float>(rng.NextGaussian());
+  }
+  std::vector<int> actions;
+  for (int m = 1; m <= static_cast<int>(rows.size()); ++m) {
+    tensor::Tensor states({m, 13});
+    for (int i = 0; i < m; ++i) {
+      std::copy(rows[static_cast<size_t>(i)].begin(),
+                rows[static_cast<size_t>(i)].end(),
+                states.data() + static_cast<size_t>(i) * 13);
+    }
+    agent.GreedyActions(states, &actions);
+    ASSERT_EQ(static_cast<int>(actions.size()), m);
+    for (int i = 0; i < m; ++i) {
+      EXPECT_EQ(actions[static_cast<size_t>(i)],
+                agent.GreedyAction(rows[static_cast<size_t>(i)]))
+          << "m=" << m << " row " << i;
+    }
+  }
 }
 
 TEST(DqnAgentTest, EpsilonDecaysToFloor) {
