@@ -71,19 +71,10 @@ std::shared_ptr<const Apfg::Output> FeatureCache::Get(
       return it->second.out;
     }
   }
-  // Miss: run the (read-only, deterministic) APFG inference outside the
-  // lock so concurrent callers don't serialize on each other's compute.
-  auto out =
-      std::make_shared<Apfg::Output>(apfg_->Process(video, start_frame, spec));
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = cache_.find(key);
-  if (it != cache_.end()) {
-    ++hits_;  // lost a concurrent race; the first insert wins
-    lru_.splice(lru_.begin(), lru_, it->second.pos);
-    return it->second.out;
-  }
-  ++misses_;
-  return InsertLocked(key, std::move(out));
+  // Miss: a batch of one, which runs the (read-only, deterministic) APFG
+  // inference outside the lock so concurrent callers don't serialize on
+  // each other's compute, and lets the first insert win a race.
+  return GetBatch({{&video, start_frame}}, spec, /*max_batch=*/1)[0];
 }
 
 std::vector<std::shared_ptr<const Apfg::Output>> FeatureCache::GetBatch(
@@ -114,10 +105,10 @@ std::vector<std::shared_ptr<const Apfg::Output>> FeatureCache::GetBatch(
     }
   }
   // Misses: decode, stack and extract in batches outside the lock.
+  const size_t batch = static_cast<size_t>(max_batch);
   std::vector<std::shared_ptr<const Apfg::Output>> computed(misses.size());
-  for (size_t lo = 0; lo < misses.size(); lo += static_cast<size_t>(max_batch)) {
-    const size_t hi =
-        std::min(misses.size(), lo + static_cast<size_t>(max_batch));
+  for (size_t lo = 0; lo < misses.size(); lo += batch) {
+    const size_t hi = std::min(misses.size(), lo + batch);
     std::vector<tensor::Tensor> decoded;
     decoded.reserve(hi - lo);
     for (size_t m = lo; m < hi; ++m) {

@@ -353,14 +353,14 @@ void QuantizedGemm(int m, int n, int k, const Int8Panels& a,
   ZEUS_CHECK(c != nullptr && ldc >= n);
   ZEUS_CHECK(a.rows == m && a.cols == k && b.rows == k && b.cols == n);
   ZEUS_CHECK(a.k_pairs == b.k_pairs);
+  ZEUS_CHECK(a.row_scales.empty() ||
+             a.row_scales.size() == static_cast<size_t>(m));
   const ComputeContext& cc = EffectiveContext(ctx);
   const GemmKernels& kern = KernelsFor(ResolveGemmIsa(cc.isa));
   // One dequant factor per C row: a per-tensor A repeats a.scale * b.scale.
-  std::vector<float> row_scale(static_cast<size_t>(m));
-  for (int i = 0; i < m; ++i) {
-    row_scale[static_cast<size_t>(i)] =
-        (a.row_scales.empty() ? a.scale : a.row_scales[static_cast<size_t>(i)]) *
-        b.scale;
+  std::vector<float> row_scale(static_cast<size_t>(m), a.scale * b.scale);
+  for (size_t i = 0; i < a.row_scales.size(); ++i) {
+    row_scale[i] = a.row_scales[i] * b.scale;
   }
   const int jpanels = (n + kI8ColTile - 1) / kI8ColTile;
 

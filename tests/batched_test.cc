@@ -136,7 +136,8 @@ TEST_F(BatchedExecutorTest, CacheCountersMatchOneAtATimeGets) {
   EXPECT_EQ(plan.cache->misses(), replay.misses());
   EXPECT_EQ(plan.cache->size(), replay.size());
   EXPECT_EQ(plan.cache->evictions(), replay.evictions());
-  EXPECT_EQ(run.invocations, static_cast<long>(replay.hits() + replay.misses()));
+  EXPECT_EQ(run.invocations,
+            static_cast<long>(replay.hits() + replay.misses()));
 }
 
 // GetBatch and Get racing on overlapping keys: whatever the interleaving,
