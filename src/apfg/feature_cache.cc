@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "tensor/gemm.h"
 #include "tensor/tensor_ops.h"
 #include "video/decoder.h"
 
@@ -110,17 +109,13 @@ std::vector<std::shared_ptr<const Apfg::Output>> FeatureCache::GetBatch(
   std::vector<std::shared_ptr<const Apfg::Output>> computed(misses.size());
   for (size_t lo = 0; lo < misses.size(); lo += batch) {
     const size_t hi = std::min(misses.size(), lo + batch);
-    // Decodes are independent and deterministic, so a batch's run on the
-    // compute pool (the extraction forward parallelizes on its own); a
-    // single one stays on the calling thread.
-    std::vector<tensor::Tensor> decoded(hi - lo);
-    common::ParallelFor(
-        hi - lo > 1 ? tensor::GlobalComputeContext().pool : nullptr,
-        static_cast<int>(hi - lo), [&](int i) {
-          const Segment& s = segments[misses[lo + static_cast<size_t>(i)]];
-          decoded[static_cast<size_t>(i)] =
-              video::SegmentDecoder::Decode(*s.video, s.start_frame, spec);
-        });
+    std::vector<tensor::Tensor> decoded;
+    decoded.reserve(hi - lo);
+    for (size_t m = lo; m < hi; ++m) {
+      const Segment& s = segments[misses[m]];
+      decoded.push_back(
+          video::SegmentDecoder::Decode(*s.video, s.start_frame, spec));
+    }
     std::vector<Apfg::Output> rows =
         apfg_->ProcessBatch(tensor::Stack(decoded), spec);
     for (size_t m = lo; m < hi; ++m) {
